@@ -45,7 +45,7 @@ def _global_flags(parser, suppress: bool) -> None:
     parser.add_argument("--no-cache", action="store_true", default=dflt(False),
                         help="do not read or write the persistent cache")
     parser.add_argument("--paranoid", action="store_true", default=dflt(False),
-                        help="recompute on every cache hit and compare")
+                        help="re-derive each hit from its cached children and compare")
     parser.add_argument("--cache-path", default=dflt(None),
                         help="cache file (default ./fatrec-cache.json or $FATREC_CACHE)")
 
@@ -261,6 +261,9 @@ def main(argv=None) -> int:
     except CacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not args.no_cache and cache.path and args.command != "cache":
         try:
             cache.save()

@@ -2,8 +2,21 @@
 
 The recursion determines F_g^mu from the initial value F_0^(0) = t by
 induction on |mu|; every value is a single t-monomial (or zero) by the fat
-selection rule.  A persistent JSON cache keyed by (g, sorted mu) makes the
-superpolynomial recursion cheap across runs.
+selection rule, with t-power 2 - 2g - n + |mu|/2.  The core works on the
+integers C_g(mu) = prod(mu) * F_g^mu, which count labelled gluings; with mu
+sorted descending, mu1 its first part and rest the others,
+
+    C_g(mu) = sum_{v in rest} v * C_g(mu1 + v - 2, rest - v)
+            + sum_{a+b=mu1-2} [ C_{g-1}(a, b, rest)
+                                + sum_{I+J=rest, g1} C_{g1}(a, I) C_{g-g1}(b, J) ]
+            + 2 C_g(mu1 - 2, rest) + [mu = (1, 1) or (2), g = 0],
+
+where the splits I+J of rest run over sub-multisets weighted by binomials.
+``_compute`` derives one cell and ``_derive`` runs those derivations on an
+explicit stack, so depth is not bounded by Python's recursion limit.  A TPoly
+is built only where a cell enters ``CorrelatorCache.table``.  A persistent
+JSON cache keyed by (g, sorted mu) makes the superpolynomial recursion cheap
+across runs.
 """
 
 from __future__ import annotations
@@ -11,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from itertools import combinations
+from math import comb, prod
 from typing import Iterable
 
 from .exact import (CouplingMonomial, CouplingSeries, Rat, TPoly, rat_str,
@@ -26,8 +39,12 @@ class CacheError(Exception):
     """Raised when a persistent cache cannot be loaded."""
 
 
+def _desc(mu: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(mu, reverse=True))
+
+
 def _sorted_key(g: int, mu: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    return g, tuple(sorted(mu, reverse=True))
+    return g, _desc(mu)
 
 
 class CorrelatorCache:
@@ -66,10 +83,10 @@ class CorrelatorCache:
                 g = int(entry["g"])
                 mu = tuple(int(x) for x in entry["mu"])
                 coeff = Fraction(entry["coeff"])
-                t_power = int(entry["t_power"])
+                poly = TPoly({int(entry["t_power"]): coeff}) if coeff else TPoly.zero()
+                _cell_int(g, mu, poly)
             except (KeyError, ValueError, TypeError) as exc:
                 raise CacheError(f"malformed cache entry: {entry!r}") from exc
-            poly = TPoly({t_power: coeff}) if coeff else TPoly.zero()
             self.table[_sorted_key(g, mu)] = poly
 
     def serialize(self) -> str:
@@ -127,73 +144,152 @@ def correlator(g: int, mu, cache: CorrelatorCache | None = None) -> TPoly:
         return TPoly.zero()
     key = _sorted_key(g, mu)
     hit = cache.table.get(key)
-    if hit is not None:
-        if cache.paranoid:
-            fresh = _compute(g, key[1], cache)
-            if fresh != hit:
-                raise AssertionError(f"cache mismatch at {key}")
-        return hit
-    value = _compute(g, key[1], cache)
-    cache.table[key] = value
-    return value
+    if hit is None:
+        return _derive(key, cache.table)
+    if cache.paranoid and _derive(key, cache.table) != hit:
+        raise AssertionError(f"cache mismatch at {key}")
+    return hit
 
 
-def _compute(g: int, mu: tuple[int, ...], cache: CorrelatorCache) -> TPoly:
-    """Evaluate the recursion with mu sorted descending (mu[0] maximal)."""
+def _t_power(g: int, mu: tuple[int, ...]) -> int:
+    """Selection rule: the t-power of F_g^mu is its face count 2-2g-n+|mu|/2."""
+    return 2 - 2 * g - len(mu) + sum(mu) // 2
+
+
+def _cell_int(g: int, mu: tuple[int, ...], poly: TPoly) -> int:
+    """C_g(mu) = prod(mu) * F_g^mu of a stored cell, as an int.
+
+    Raises ValueError unless the valences are positive and a nonzero cell is
+    one t-monomial that obeys the selection rule with an integral C_g(mu).
+    """
+    if not mu or min(mu) <= 0:
+        raise ValueError(f"non-positive valence in {list(mu)}")
+    if poly.is_zero():
+        return 0
+    single = poly.single_term()
+    if single is None or sum(mu) % 2 or single[0] != _t_power(g, mu):
+        raise ValueError(f"{poly} breaks the selection rule")
+    value = single[1] * prod(mu)
+    if value.denominator != 1:
+        raise ValueError(f"prod(mu) * coeff = {value} is not an integer")
+    return value.numerator
+
+
+def _derive(key: tuple[int, tuple[int, ...]],
+            table: dict[tuple[int, tuple[int, ...]], TPoly]) -> TPoly:
+    """Derive the cell ``key`` from its children and return it as a TPoly.
+
+    Cells missing from ``table`` are derived first, on an explicit stack of
+    ``_compute`` frames; every derived cell, ``key`` included, is stored in
+    ``table``.  Other cells already in ``table`` are read, not derived.
+    """
+    ints: dict[tuple[int, tuple[int, ...]], int] = {}
+    stack = [(key, _compute(*key, ints))]
+    sent = None
+    while True:
+        cell, frame = stack[-1]
+        try:
+            child = frame.send(sent)
+        except StopIteration as done:
+            stack.pop()
+            g, mu = cell
+            sent = ints[cell] = done.value
+            table[cell] = (TPoly({_t_power(g, mu): Fraction(sent, prod(mu))})
+                           if sent else TPoly.zero())
+            if not stack:
+                return table[cell]
+            continue
+        known = table.get(child)
+        if known is None:
+            stack.append((child, _compute(*child, ints)))
+            sent = None
+        else:
+            sent = ints[child] = _cell_int(*child, known)
+
+
+def _splits(rest: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int, tuple[int, ...]]]:
+    """(weight, I, |I|, J) for each sub-multiset I of ``rest`` (descending).
+
+    J is the complement; the weight prod C(k_v, i_v) counts the index
+    subsets that give I.
+    """
+    splits = [(1, (), ())]
+    for v in sorted(set(rest), reverse=True):
+        k = rest.count(v)
+        splits = [(w * comb(k, i), left + (v,) * i, right + (v,) * (k - i))
+                  for w, left, right in splits for i in range(k + 1)]
+    return [(w, left, sum(left), right) for w, left, right in splits]
+
+
+def _compute(g: int, mu: tuple[int, ...], ints: dict):
+    """Generator deriving C_g(mu), mu sorted descending, from its children.
+
+    Each child key missing from ``ints`` is yielded, and its value must be
+    sent back; the generator returns C_g(mu).  This is the recursion
+    multiplied through by prod(mu), so every term is an integer.
+    """
     n = len(mu)
     mu1 = mu[0]
     rest = mu[1:]
-    acc = TPoly.zero()
+    acc = 0
 
-    for j in range(1, n):
-        m0 = mu1 + mu[j] - 2
-        others = rest[:j - 1] + rest[j:]
+    # contract an edge from the first vertex to a vertex of valence v
+    for v in set(rest):
+        m0 = mu1 + v - 2
         if m0 > 0:
-            acc = acc + Fraction(m0) * correlator(g, (m0,) + others, cache)
-        elif m0 == 0 and n == 2 and g == 0:
+            i = rest.index(v)
+            key = (g, _desc((m0,) + rest[:i] + rest[i + 1:]))
+            c = ints.get(key)
+            if c is None:
+                c = yield key
+            acc += rest.count(v) * v * c
+        elif n == 2 and g == 0:
             # contracting the dumbbell leaves the plain vertex, weight t
-            acc = acc + TPoly.t_power(1)
+            acc += 1
 
+    splits = _splits(rest)
     for a in range(1, mu1 - 2):
         b = mu1 - 2 - a
-        if b < 1:
-            continue
-        coeff = Fraction(a * b)
-        acc = acc + coeff * correlator(g - 1, (a, b) + rest, cache)
-        idx = list(range(n - 1))
-        for size in range(len(idx) + 1):
-            for subset in combinations(idx, size):
-                comp = [i for i in idx if i not in subset]
-                mu_i = tuple(rest[i] for i in subset)
-                mu_j = tuple(rest[i] for i in comp)
-                if (a + sum(mu_i)) % 2 or (b + sum(mu_j)) % 2:
+        if g:
+            key = (g - 1, _desc((a, b) + rest))
+            c = ints.get(key)
+            if c is None:
+                c = yield key
+            acc += c
+        for w, left_rest, left_sum, right_rest in splits:
+            if (a + left_sum) % 2:
+                continue
+            left_mu = _desc((a,) + left_rest)
+            right_mu = _desc((b,) + right_rest)
+            for g1 in range(g + 1):
+                key = (g1, left_mu)
+                left = ints.get(key)
+                if left is None:
+                    left = yield key
+                if not left:
                     continue
-                for g1 in range(0, g + 1):
-                    left = correlator(g1, (a,) + mu_i, cache)
-                    if left.is_zero():
-                        continue
-                    right = correlator(g - g1, (b,) + mu_j, cache)
-                    if right.is_zero():
-                        continue
-                    acc = acc + coeff * (left * right)
+                key = (g - g1, right_mu)
+                right = ints.get(key)
+                if right is None:
+                    right = yield key
+                acc += w * left * right
 
-    if mu1 - 2 >= 1:
-        acc = acc + (2 * (mu1 - 2)) * TPoly.t_power(1) * correlator(g, (mu1 - 2,) + rest, cache)
+    if mu1 > 2:
+        key = (g, _desc((mu1 - 2,) + rest))
+        c = ints.get(key)
+        if c is None:
+            c = yield key
+        acc += 2 * c
+    elif n == 1 and g == 0 and mu1 == 2:
+        acc += 1
 
-    if n == 1 and g == 0 and mu1 == 2:
-        acc = acc + TPoly.t_power(2)
-
-    return Fraction(1, mu1) * acc
+    return acc
 
 
 def connected_correlator(g: int, mu, cache: CorrelatorCache | None = None) -> TPoly:
     """<p_mu1 ... p_mun>_g^c = prod(mu) * F_g^mu."""
     mu = tuple(int(m) for m in mu)
-    value = correlator(g, mu, cache)
-    factor = 1
-    for m in mu:
-        factor *= m
-    return Fraction(factor) * value
+    return Fraction(prod(mu)) * correlator(g, mu, cache)
 
 
 def _partitions_up_to(total: int):

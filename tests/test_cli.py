@@ -149,3 +149,16 @@ def test_paranoid_flag_runs(workdir):
     r = run_cli(["correlator", "--g", "0", "--mu", "6", "--paranoid"], workdir)
     assert r.returncode == 0
     assert r.stdout.strip() == "5/6 * t^4"
+
+
+def test_bad_valence_one_line_exit_2(workdir):
+    r = run_cli(["correlator", "--g", "0", "--mu", "0,2"], workdir)
+    assert r.returncode == 2
+    assert r.stderr == "error: valences must be positive (or the single (0))\n"
+    assert r.stdout == ""
+
+
+def test_deep_correlator_exits_0(workdir):
+    r = run_cli(["correlator", "--g", "0", "--mu", "2000", "--no-cache"], workdir)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().endswith(" * t^1001")

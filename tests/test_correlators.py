@@ -1,10 +1,12 @@
 """Production correlators, free energies, partition function, cache."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
+import fatrec.correlators as core
 from fatrec.correlators import (CacheError, CorrelatorCache, correlator,
                                 free_energy, full_free_energy,
                                 partition_function)
@@ -186,3 +188,121 @@ def test_cache_lock_collision(tmp_path):
     (tmp_path / "c.json.lock").write_text("")
     with pytest.raises(CacheError, match="locked"):
         cache.save()
+
+
+def test_cache_load_rejects_selection_rule_violation(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"version":1,"entries":'
+                    '[{"coeff":"1/2","g":0,"mu":[4],"t_power":2}]}')
+    with pytest.raises(CacheError, match="malformed cache entry"):
+        CorrelatorCache(str(path)).load()
+
+
+def test_cache_load_rejects_non_integral_coeff(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"version":1,"entries":'
+                    '[{"coeff":"1/3","g":0,"mu":[4],"t_power":3}]}')
+    with pytest.raises(CacheError, match="malformed cache entry"):
+        CorrelatorCache(str(path)).load()
+
+
+def test_cache_load_rejects_non_positive_valence(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"version":1,"entries":'
+                    '[{"coeff":"0","g":0,"mu":[4,0],"t_power":0}]}')
+    with pytest.raises(CacheError, match="malformed cache entry"):
+        CorrelatorCache(str(path)).load()
+
+
+def test_paranoid_costs_a_constant_factor(monkeypatch):
+    # count the cells the integer core derives: one _compute call per cell
+    calls = []
+    derive = core._compute
+
+    def counted(g, mu, ints):
+        calls.append((g, mu))
+        return derive(g, mu, ints)
+
+    monkeypatch.setattr(core, "_compute", counted)
+    plain = CorrelatorCache()
+    value = correlator(2, (16,), plain)
+    plain_cells = len(calls)
+    assert plain_cells == len(plain.table)
+    calls.clear()
+    paranoid = CorrelatorCache(None, paranoid=True)
+    assert correlator(2, (16,), paranoid) == value
+    assert len(calls) <= 2 * plain_cells
+    assert paranoid.serialize() == plain.serialize()
+    # a hit is re-derived one level, from its cached children
+    calls.clear()
+    assert correlator(2, (16,), paranoid) == value
+    assert calls == [(2, (16,))]
+
+
+def test_deep_one_point_has_no_recursion_limit():
+    value = correlator(0, (2000,), CorrelatorCache())
+    assert value == tp(1001, Fraction(catalan(1000), 2000))
+
+
+def harer_zagier(max_genus, max_n):
+    """epsilon_g(n), gluings of a 2n-gon into a genus-g surface:
+    (n+1) e_g(n) = 2(2n-1) e_g(n-1) + (n-1)(2n-1)(2n-3) e_{g-1}(n-2)."""
+    eps = {(g, 0): int(g == 0) for g in range(max_genus + 1)}
+    for n in range(1, max_n + 1):
+        for g in range(max_genus + 1):
+            num = 2 * (2 * n - 1) * eps[(g, n - 1)]
+            if g and n >= 2:
+                num += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[(g - 1, n - 2)]
+            assert num % (n + 1) == 0
+            eps[(g, n)] = num // (n + 1)
+    return eps
+
+
+def test_harer_zagier_one_point():
+    cache = CorrelatorCache()
+    for (g, n), eps in harer_zagier(3, 15).items():
+        if n == 0:
+            continue
+        value = correlator(g, (2 * n,), cache)
+        if eps == 0:
+            assert value.is_zero(), (g, n)
+        else:
+            assert value == tp(n + 1 - 2 * g, Fraction(eps, 2 * n)), (g, n)
+
+
+def even_partitions(total, max_parts, largest=None):
+    """Partitions of ``total`` into at most ``max_parts`` even parts, descending."""
+    if total == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for part in range(min(total, largest or total), 0, -1):
+        if part % 2 == 0:
+            for tail in even_partitions(total - part, max_parts - 1, part):
+                yield (part,) + tail
+
+
+def test_tutte_genus_zero_even_valences():
+    # Tutte's census of slicings: F_0^mu = (e-1)!/(e-n+2)! prod C(m-1, m/2) t^(e-n+2)
+    cache = CorrelatorCache()
+    for total in range(2, 25, 2):
+        for mu in even_partitions(total, 6):
+            e, n = total // 2, len(mu)
+            coeff = Fraction(math.factorial(e - 1), math.factorial(e - n + 2))
+            for m in mu:
+                coeff *= math.comb(m - 1, m // 2)
+            assert correlator(0, mu, cache) == tp(e - n + 2, coeff), mu
+
+
+@pytest.mark.parametrize("g, mu, entries, digest", [
+    (2, (14, 12), 562,
+     "3f80d84a662bdb1b3bca2a26a341e497c0fb7fbcf909d9ebff7ad52f95431ca7"),
+    (3, (24,), 526,
+     "ffa229e7143a1158eba8214c90fea4e40d1461b8f44467d31729b899c6ec4d85"),
+])
+def test_cold_cache_golden(g, mu, entries, digest):
+    cache = CorrelatorCache()
+    correlator(g, mu, cache)
+    assert len(cache.table) == entries
+    assert hashlib.sha256(cache.serialize().encode()).hexdigest() == digest
