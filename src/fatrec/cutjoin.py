@@ -69,13 +69,18 @@ def _apply_Lprime(m: int, mono: CouplingMonomial, c: Rat,
 
 
 def apply_M(f: CouplingSeries) -> CouplingSeries:
-    """Apply M = (1/2) sum_m g_{m+2} L'_m, truncated at f's weight bound."""
+    """Apply M = (1/2) sum_m g_{m+2} L'_m, truncated at f's weight bound.
+
+    Every term raises the weight by exactly 2, so a monomial of weight w is
+    visited only if w + 2 <= f.trunc (always when f.trunc is None), and only
+    for m = -1 .. w: L'_m lowers the weight by m and vanishes for m > w.
+    """
     half = Fraction(1, 2)
     out: dict[CouplingMonomial, Rat] = {}
-    m_cap = (f.trunc if f.trunc is not None else f.max_weight() + 2)
     for mono, c in f.terms.items():
-        m_top = max(mono.couplings, default=0)
-        for m in range(-1, max(m_top, m_cap) + 1):
+        if f.trunc is not None and mono.weight + 2 > f.trunc:
+            continue
+        for m in range(-1, mono.weight + 1):
             inner: dict[CouplingMonomial, Rat] = {}
             _apply_Lprime(m, mono, c * half, inner)
             for mm, cc in inner.items():

@@ -9,6 +9,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Mapping
 
 Rat = Fraction
@@ -166,7 +167,7 @@ class CouplingMonomial:
     CouplingSeries is by weight.
     """
 
-    __slots__ = ("couplings", "t_power", "gs_power")
+    __slots__ = ("couplings", "t_power", "gs_power", "weight")
 
     def __init__(self, couplings: Iterable[int] = (), t_power: int = 0, gs_power: int = 0):
         ks = tuple(sorted(int(k) for k in couplings))
@@ -177,13 +178,10 @@ class CouplingMonomial:
         object.__setattr__(self, "couplings", ks)
         object.__setattr__(self, "t_power", int(t_power))
         object.__setattr__(self, "gs_power", int(gs_power))
+        object.__setattr__(self, "weight", sum(ks))
 
     def __setattr__(self, *a):
         raise AttributeError("CouplingMonomial is immutable")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.couplings)
 
     def is_empty(self) -> bool:
         return not self.couplings and self.t_power == 0 and self.gs_power == 0
@@ -329,17 +327,25 @@ class CouplingSeries:
             return CouplingSeries({m: c * other for m, c in self.terms.items()},
                                   self.trunc)
         trunc = self._min_trunc(self.trunc, other.trunc)
+        # other's terms grouped by weight, lightest first, so that each m1
+        # stops at the first group that would exceed the truncation
+        groups: dict[int, list[tuple[CouplingMonomial, Rat]]] = {}
+        for m2, c2 in other.terms.items():
+            groups.setdefault(m2.weight, []).append((m2, c2))
+        by_weight = sorted(groups.items())
         out: dict[CouplingMonomial, Rat] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if trunc is not None and m1.weight + m2.weight > trunc:
-                    continue
-                m = m1 * m2
-                s = out.get(m, RAT_ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+            room = None if trunc is None else trunc - m1.weight
+            for w2, group in by_weight:
+                if room is not None and w2 > room:
+                    break
+                for m2, c2 in group:
+                    m = m1 * m2
+                    s = out.get(m, RAT_ZERO) + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        out.pop(m, None)
         return CouplingSeries(out, trunc)
 
     __rmul__ = __mul__
@@ -350,9 +356,6 @@ class CouplingSeries:
     def weight_component(self, w: int) -> "CouplingSeries":
         return CouplingSeries({m: c for m, c in self.terms.items() if m.weight == w},
                               self.trunc)
-
-    def max_weight(self) -> int:
-        return max((m.weight for m in self.terms), default=0)
 
     def d_g(self, k: int) -> "CouplingSeries":
         """Partial derivative with respect to g_k."""
@@ -417,7 +420,7 @@ def series_exp(f: CouplingSeries) -> CouplingSeries:
         power = power * f
         if power.is_zero():
             break
-        out = out + power * Fraction(1, _factorial(k))
+        out = out + power * Fraction(1, factorial(k))
     return out
 
 
@@ -440,11 +443,4 @@ def series_log(f: CouplingSeries) -> CouplingSeries:
         if power.is_zero():
             break
         out = out + power * Fraction((-1) ** (k + 1), k)
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
     return out

@@ -63,7 +63,11 @@ def w_from_correlators(g: int, n: int, max_mu_weight: int,
 
 
 def _prune(f: XSeries, max_mu_weight: int) -> XSeries:
-    """Keep tail terms with |mu| <= bound (every variable exponent <= -1)."""
+    """Check that every term is a pure tail and keep those with |mu| <= bound.
+
+    The recursion's products are already truncated at |mu| <= bound, so the
+    weight filter drops nothing there; the result carries no truncation.
+    """
     n = len(f.variables)
     out = {}
     for e, c in f.terms.items():
@@ -118,7 +122,10 @@ class NPointRecursion:
 
     Cells are ordered by increasing 2g - 2 + n; every intermediate keeps all
     terms with |mu| <= K, which is enough because each recursion step raises
-    |mu| by at least 2.
+    |mu| by at least 2.  For an n-variable cell |mu| <= K is inverse degree
+    <= K + n, and every product is truncated there while it multiplies: all
+    factors are pure tails and 1/(1 - 2 x1^-1 W_{0,1}) has terms of degree
+    >= 0 only, so no term past the bound can contribute to one below it.
     """
 
     def __init__(self, max_mu_weight: int, cache: CorrelatorCache | None = None):
@@ -128,8 +135,8 @@ class NPointRecursion:
         w01 = w01_closed(self.k, cache)
         denom = XSeries.one(("x1",)) - (
             XSeries.term(("x1",), (-1,), TPoly.const(2)) * w01)
-        # the inverse tail itself is capped at depth K+2; drop the trunc so
-        # min-trunc product semantics cannot starve deeper multi-variable terms
+        # the inverse tail itself is capped at depth K+2; it carries no trunc,
+        # so its product with num takes num's bound, inverse degree K + n
         self.inv_denom = xseries_invert(denom, trunc=self.k + 2).with_trunc(None)
 
     def cell(self, g: int, n: int) -> XSeries:
@@ -148,12 +155,13 @@ class NPointRecursion:
 
     def _compute(self, g: int, n: int) -> XSeries:
         variables = _xvars(n)
-        num = XSeries.zero(variables)
+        bound = self.k + n
+        num = XSeries.zero(variables, bound)
         for j in range(2, n + 1):
             sub = self.cell(g, n - 1)
             others = ["x1"] + [f"x{i}" for i in range(2, n + 1) if i != j]
             sub = sub.rename({f"x{i + 1}": others[i] for i in range(n - 1)})
-            num = num + op_D(sub, f"x{j}", self.k + n)
+            num = num + op_D(sub, f"x{j}", bound)
         if g >= 1:
             sub = self.cell(g - 1, n + 1)
             names = {"x1": "u", "x2": "v"}
@@ -172,7 +180,9 @@ class NPointRecursion:
                     {"x1": "u", **{f"x{i + 2}": f"x{v}" for i, v in enumerate(subset)}})
                 right = self.cell(g2, len(comp) + 1).rename(
                     {"x1": "v", **{f"x{i + 2}": f"x{v}" for i, v in enumerate(comp)}})
-                num = num + xseries_diag(left * right, "u", "v", "x1")
+                # the diagonal adds 1 to the inverse degree
+                num = num + xseries_diag(left.with_trunc(bound - 1) * right,
+                                         "u", "v", "x1")
         w = self.inv_denom * num
         return _prune(w.extend_vars(variables), self.k)
 

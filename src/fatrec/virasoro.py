@@ -21,30 +21,13 @@ from .exact import (CouplingMonomial, CouplingSeries, Rat, TPoly, rat_str)
 
 
 class LinearOp:
-    """Exact linear endomorphism of the coupling ring, as a callable.
-
-    Supports the algebra needed for commutator checks: composition (@),
-    sums, differences and integer scaling.
-    """
+    """Exact linear endomorphism of the coupling ring, as a callable."""
 
     def __init__(self, fn):
         self._fn = fn
 
     def __call__(self, f: CouplingSeries) -> CouplingSeries:
         return self._fn(f)
-
-    def __matmul__(self, other: "LinearOp") -> "LinearOp":
-        return LinearOp(lambda f: self(other(f)))
-
-    def __add__(self, other: "LinearOp") -> "LinearOp":
-        return LinearOp(lambda f: self(f) + other(f))
-
-    def __sub__(self, other: "LinearOp") -> "LinearOp":
-        return LinearOp(lambda f: self(f) - other(f))
-
-    def scale(self, c) -> "LinearOp":
-        c = Fraction(c)
-        return LinearOp(lambda f: self(f) * c)
 
 
 def _emit(out: dict[CouplingMonomial, Rat], m: CouplingMonomial, c: Rat):

@@ -178,17 +178,28 @@ class XSeries:
             raise ValueError("cannot multiply series carrying log slots")
         a, b = XSeries._aligned(self, other)
         trunc = self._min_trunc(a.trunc, b.trunc)
+        # b's terms grouped by -sum(e), lowest first.  -sum(e) is additive and
+        # bounds _inv_degree from below (equal on tails), so each e1 stops at
+        # the first group whose products all lie past the truncation.
+        groups: dict[int, list[tuple[Expo, TPoly]]] = {}
+        for e2, c2 in b.terms.items():
+            groups.setdefault(-sum(e2), []).append((e2, c2))
+        by_degree = sorted(groups.items())
         out: dict[Expo, TPoly] = {}
         for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if trunc is not None and _inv_degree(e) > trunc:
-                    continue
-                s = out.get(e, TPoly.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+            room = None if trunc is None else trunc + sum(e1)
+            for d2, group in by_degree:
+                if room is not None and d2 > room:
+                    break
+                for e2, c2 in group:
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    if trunc is not None and _inv_degree(e) > trunc:
+                        continue
+                    s = out.get(e, TPoly.zero()) + c1 * c2
+                    if s.is_zero():
+                        out.pop(e, None)
+                    else:
+                        out[e] = s
         return XSeries(a.variables, out, None, trunc)
 
     __rmul__ = __mul__

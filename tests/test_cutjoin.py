@@ -1,9 +1,12 @@
 """Cut-and-join operator and the exponential representation of Z at gs=1."""
 
+import random
 from fractions import Fraction
 
+import pytest
+
 from fatrec.correlators import partition_function
-from fatrec.cutjoin import apply_M, exp_M_vacuum, m_power_vacuum
+from fatrec.cutjoin import _apply_Lprime, apply_M, exp_M_vacuum, m_power_vacuum
 from fatrec.exact import CouplingMonomial, CouplingSeries
 
 
@@ -59,3 +62,45 @@ def test_edge_strata_match_exponential():
 def test_cut_and_join_theorem_desk_scale():
     for d in range(0, 5):
         assert exp_M_vacuum(d) == partition_function(d).set_gs_one(), d
+
+
+def _apply_M_reference(f):
+    """M with m looped up to max(largest coupling, cap) for every monomial,
+    cap = f.trunc, or the largest weight + 2 without one."""
+    half = Fraction(1, 2)
+    if f.trunc is not None:
+        cap = f.trunc
+    else:
+        cap = max((m.weight for m in f.terms), default=0) + 2
+    out = {}
+    for m0, c in f.terms.items():
+        top = max(m0.couplings, default=0)
+        for m in range(-1, max(top, cap) + 1):
+            inner = {}
+            _apply_Lprime(m, m0, c * half, inner)
+            for mm, cc in inner.items():
+                key = mm.times_g(m + 2)
+                out[key] = out.get(key, 0) + cc
+    return CouplingSeries(out, f.trunc)
+
+
+@pytest.mark.parametrize("trunc", [None, 4, 7, 10])
+def test_apply_M_matches_reference(trunc):
+    rng = random.Random(500 + (trunc or 0))
+    for _ in range(20):
+        terms = {}
+        for _ in range(5):
+            parts = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 3)))
+            terms[mono(parts, rng.randint(0, 3))] = Fraction(rng.randint(-3, 3),
+                                                             rng.randint(1, 4))
+        f = CouplingSeries(terms, trunc)
+        assert apply_M(f) == _apply_M_reference(f)
+
+
+def test_apply_M_drops_monomials_without_room_for_an_edge():
+    # one edge adds weight 2: a monomial of weight trunc - 1 maps to zero,
+    # one of weight trunc - 2 does not
+    for m in [mono((3,), 1), mono((1, 2), 2), mono((5, 4), 0)]:
+        f = CouplingSeries.monomial(m, 1, trunc=m.weight + 2)
+        assert apply_M(f).terms and apply_M(f) == _apply_M_reference(f)
+        assert apply_M(CouplingSeries.monomial(m, 1, trunc=m.weight + 1)).is_zero()

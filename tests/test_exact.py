@@ -129,3 +129,55 @@ def test_derivative():
     d = s.d_g(2)
     assert d.coeff(mono((2,), t=1)) == 1
     assert s.d_g(5).is_zero()
+
+
+def _product_reference(a, b):
+    """All-pairs product; the constructor drops what lies past the bound."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = m1 * m2
+            out[m] = out.get(m, 0) + c1 * c2
+    bounds = [x for x in (a.trunc, b.trunc) if x is not None]
+    return CouplingSeries(out, min(bounds) if bounds else None)
+
+
+def _weighted_series(rng, trunc, n_terms=8):
+    terms = {}
+    for _ in range(n_terms):
+        parts = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 3)))
+        m = CouplingMonomial(parts, rng.randint(0, 2), rng.randint(-1, 1))
+        terms[m] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    return CouplingSeries(terms, trunc)
+
+
+@pytest.mark.parametrize("trunc_a, trunc_b",
+                         [(None, None), (6, 6), (9, 9), (None, 7), (5, None), (4, 8)])
+def test_series_product_matches_all_pairs(trunc_a, trunc_b):
+    rng = random.Random(1000 + 10 * (trunc_a or 0) + (trunc_b or 0))
+    for _ in range(30):
+        a = _weighted_series(rng, trunc_a)
+        b = _weighted_series(rng, trunc_b)
+        prod = a * b
+        ref = _product_reference(a, b)
+        assert prod == ref
+        assert prod.trunc == ref.trunc
+
+
+def test_series_product_keeps_terms_exactly_at_the_bound():
+    a = CouplingSeries({mono((1,)): 2, mono((2, 3)): 1, mono((6,)): 5}, trunc=6)
+    b = CouplingSeries({mono(()): 3, mono((5,), t=1): -1, mono((1,)): 1}, trunc=6)
+    prod = a * b
+    assert prod == _product_reference(a, b)
+    assert prod.coeff(mono((1, 5), t=1)) == -2
+    assert prod.coeff(mono((1, 2, 3))) == 1
+    assert prod.coeff(mono((6,))) == 15
+    assert all(m.weight <= 6 for m in prod.terms)
+    assert prod.coeff(mono((1, 6))) == 0
+
+
+def test_monomial_weight_is_read_only():
+    m = mono((2, 2, 1), t=1)
+    assert m.weight == 5
+    with pytest.raises(AttributeError):
+        m.weight = 4

@@ -8,7 +8,7 @@ import pytest
 from fatrec.exact import TPoly
 from fatrec.npoint import (NPointRecursion, op_D, qsc_residual, s_function,
                            w_from_correlators, w_recursion, w01_closed)
-from fatrec.xseries import XSeries
+from fatrec.xseries import XSeries, _inv_degree
 
 
 def tp(e, c=1):
@@ -72,10 +72,11 @@ def test_w02_reference_expansion_via_recursion():
         assert w.coeff(e) == val, e
 
 
-def test_cross_construction_equality():
-    rec = NPointRecursion(10)
+@pytest.mark.parametrize("k", [10, 12])
+def test_cross_construction_equality(k):
+    rec = NPointRecursion(k)
     for (g, n) in [(0, 2), (0, 3), (1, 1), (1, 2), (2, 1)]:
-        assert rec.cell(g, n) == w_from_correlators(g, n, 10), (g, n)
+        assert rec.cell(g, n) == w_from_correlators(g, n, k), (g, n)
 
 
 def test_w03_three_point_fixture():
@@ -162,3 +163,24 @@ def test_cross_construction_higher_cells():
     rec = NPointRecursion(8)
     for (g, n) in [(0, 4), (1, 3), (2, 2)]:
         assert rec.cell(g, n) == w_from_correlators(g, n, 8), (g, n)
+
+
+def test_recursion_products_stop_at_the_bound(monkeypatch):
+    # |mu| <= K on n variables is inverse degree <= K + n; no product the
+    # recursion forms may hold a term past that, not even for a moment
+    rec = NPointRecursion(10)
+    seen = []
+    mul = XSeries.__mul__
+
+    def recording_mul(self, other):
+        out = mul(self, other)
+        if out.terms:
+            seen.append((max(_inv_degree(e) for e in out.terms), len(out.variables)))
+        return out
+
+    monkeypatch.setattr(XSeries, "__mul__", recording_mul)
+    cell = rec.cell(0, 4)
+    monkeypatch.undo()
+    assert seen
+    assert all(degree <= 10 + n for degree, n in seen), seen
+    assert cell == w_from_correlators(0, 4, 10)

@@ -134,3 +134,38 @@ def test_rename_and_extend():
     assert b.variables == ("u",)
     c = b.extend_vars(("u", "w"))
     assert c.coeff((-2, 0)) == TPoly.const(3)
+
+
+def _product_reference(a, b):
+    """All-pairs product; the constructor drops what lies past the bound."""
+    a, b = XSeries._aligned(a, b)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, TPoly.zero()) + c1 * c2
+    bounds = [x for x in (a.trunc, b.trunc) if x is not None]
+    return XSeries(a.variables, out, None, min(bounds) if bounds else None)
+
+
+@pytest.mark.parametrize("highest", [-1, 0, 2])
+@pytest.mark.parametrize("trunc_a, trunc_b", [(None, None), (5, 5), (None, 4), (6, 3)])
+def test_mul_matches_all_pairs(highest, trunc_a, trunc_b):
+    # highest >= 0 adds constant and polynomial-slot exponents, where the
+    # inverse degree of a product is not the sum of the factors' degrees
+    rng = random.Random(100 * highest + 10 * (trunc_a or 0) + (trunc_b or 0))
+
+    def rand(variables, trunc):
+        terms = {}
+        for _ in range(6):
+            e = tuple(rng.randint(-4, highest) for _ in variables)
+            terms[e] = TPoly.t_power(rng.randint(0, 2), Fraction(rng.randint(-3, 3)))
+        return XSeries(variables, terms, None, trunc)
+
+    for _ in range(20):
+        a = rand(("x", "y"), trunc_a)
+        b = rand(("y", "z"), trunc_b)
+        prod = a * b
+        ref = _product_reference(a, b)
+        assert prod == ref
+        assert prod.trunc == ref.trunc
