@@ -134,6 +134,8 @@ def correlator(g: int, mu, cache: CorrelatorCache | None = None) -> TPoly:
     if cache is None:
         cache = _session_cache
     mu = tuple(int(m) for m in mu)
+    if not mu:
+        raise ValueError("mu must have at least one vertex")
     if g < 0:
         return TPoly.zero()
     if mu == (0,):

@@ -10,21 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import CouplingMonomial, CouplingSeries, Rat
-
-
-def _emit(out: dict[CouplingMonomial, Rat], m: CouplingMonomial, c: Rat):
-    s = out.get(m, Fraction(0)) + c
-    if s:
-        out[m] = s
-    else:
-        out.pop(m, None)
-
-
-def _d(mono: CouplingMonomial, k: int):
-    mult = mono.multiplicity(k)
-    if not mult:
-        return None
-    return mono.without_one(k), mult
+from .virasoro import _d, _emit
 
 
 def _apply_Lprime(m: int, mono: CouplingMonomial, c: Rat,

@@ -4,6 +4,14 @@ This module is the structural oracle of the package: abstract correlators are
 built literally (one canonical fat graph per class, weighted 1/|Aut|), the
 edge-contraction operator acts graph by graph, and the quadratic recursion is
 checked as an identity between finite graph sums.
+
+The brute force visits each of the (|mu|-1)!! pairings once, depth first, in
+lexicographic order of the alpha word.  Faces and components are updated per
+edge (see ``_Walk``) in place of a fresh face count and union-find per
+pairing.  ``enumerate_graphs`` makes one canonical test per pairing of the
+wanted genus: since a class's first word met is its least, a pairing is kept
+only when no rotation gives a smaller word, and its weight 1/|Aut| comes from
+the rotations that give the same word.
 """
 
 from __future__ import annotations
@@ -11,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .exact import Rat, TPoly, rat_str
-from .ribbon import FatGraph, dot_graph, involutions
+from .ribbon import FatGraph, _least_rotation, _rotation_perms, dot_graph
 
 
 class GraphSum:
@@ -172,91 +181,140 @@ def relabel(s: GraphSum, index_set) -> GraphSum:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _vertex_owner(mu) -> list[int]:
-    owner = [0] * (sum(mu) + 1)
-    pos = 1
-    for i, m in enumerate(mu):
-        for _ in range(m):
-            owner[pos] = i
-            pos += 1
-    return owner
+def _valences(mu) -> tuple[int, ...]:
+    mu = tuple(int(m) for m in mu)
+    if not mu:
+        raise ValueError("mu must have at least one vertex")
+    if mu != (0,) and any(m < 1 for m in mu):
+        raise ValueError("valences must be positive (or the single (0))")
+    return mu
 
 
-def _sigma_array(mu) -> list[int]:
-    sig = [0] * (sum(mu) + 1)
-    start = 1
-    for m in mu:
-        for k in range(m):
-            sig[start + k] = start + (k + 1) % m
-        start += m
-    return sig
+class _Walk:
+    """Depth-first walk over the pairings of mu, in lexicographic word order.
 
+    The smallest free half-edge a is glued to each larger free b in turn.
+    phi = sigma o alpha is kept up to date: gluing a to b swaps phi[a] and
+    phi[b], which splits one face in two when a and b lie on one phi-cycle
+    and merges two faces otherwise, so the face count starts at n (one per
+    vertex) and moves by one per edge.  ``comp[v]`` is the vertex bitmask
+    of the component of v.  Only connected pairings reach ``_leaf``; with a
+    ``target`` face count, branches that cannot reach it are cut.  Building
+    a walk runs it: ``found`` maps face counts to pairing counts or, given a
+    target, the canonical words of that face count to |Aut|.
+    """
 
-def _faces_of(alpha, sigma) -> int:
-    h = len(alpha) - 1
-    seen = [False] * (h + 1)
-    count = 0
-    for s in range(1, h + 1):
-        if seen[s]:
-            continue
-        count += 1
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = sigma[alpha[x]]
-    return count
+    __slots__ = ("alpha", "phi", "owner", "comp", "full", "target", "perms",
+                 "found")
 
+    def __init__(self, mu, target=None):
+        h = sum(mu)
+        self.alpha = [0] * (h + 1)
+        self.phi = [0] * (h + 1)
+        self.owner = [0] * (h + 1)
+        start = 1
+        for v, m in enumerate(mu):
+            for k in range(m):
+                self.phi[start + k] = start + (k + 1) % m
+                self.owner[start + k] = v
+            start += m
+        self.comp = [1 << v for v in range(len(mu))]
+        self.full = (1 << len(mu)) - 1
+        self.target = target
+        self.perms = None if target is None else _rotation_perms(mu)
+        self.found = {}
+        self._glue(1, h // 2 - 1, len(mu))
 
-def _connected(alpha, owner, n) -> bool:
-    if n <= 1:
-        return True
-    parent = list(range(n))
+    def _glue(self, a, left, faces):
+        """Glue half-edge a to each larger free one; ``left`` edges follow."""
+        alpha, phi, comp, owner = self.alpha, self.phi, self.comp, self.owner
+        target, full = self.target, self.full
+        cu = comp[owner[a]]
+        for b in range(a + 1, len(alpha)):
+            if alpha[b]:
+                continue
+            x = phi[a]
+            while x != a and x != b:
+                x = phi[x]
+            f = faces + 1 if x == b else faces - 1
+            if target is not None and abs(f - target) > left:
+                continue
+            cw = comp[owner[b]]
+            alpha[a], alpha[b] = b, a
+            phi[a], phi[b] = phi[b], phi[a]
+            if left == 1:
+                # The forced last pair c, d, resolved here without a call.
+                c = a + 1
+                while alpha[c]:
+                    c += 1
+                d = c + 1
+                while alpha[d]:
+                    d += 1
+                joined = cu | cw
+                cc, cd = comp[owner[c]], comp[owner[d]]
+                if cc & joined:
+                    cc |= joined
+                if cd & joined:
+                    cd |= joined
+                if cc | cd == full:
+                    x = phi[c]
+                    while x != c and x != d:
+                        x = phi[x]
+                    last = f + 1 if x == d else f - 1
+                    if target is None or last == target:
+                        alpha[c], alpha[d] = d, c
+                        self._leaf(last)
+                        alpha[c] = alpha[d] = 0
+            elif not left:
+                # Only when mu has a single edge.
+                if cu | cw == full:
+                    self._leaf(f)
+            else:
+                if not cu & cw:
+                    merged = cu | cw
+                    for v, mask in enumerate(comp):
+                        if mask == cu or mask == cw:
+                            comp[v] = merged
+                nxt = a + 1
+                while alpha[nxt]:
+                    nxt += 1
+                self._glue(nxt, left - 1, f)
+                if not cu & cw:
+                    for v, mask in enumerate(comp):
+                        if mask == merged:
+                            comp[v] = cu if cu >> v & 1 else cw
+            phi[a], phi[b] = phi[b], phi[a]
+            alpha[a] = alpha[b] = 0
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merges = 0
-    for h in range(1, len(alpha)):
-        a, b = find(owner[h]), find(owner[alpha[h]])
-        if a != b:
-            parent[a] = b
-            merges += 1
-            if merges == n - 1:
-                return True
-    return merges == n - 1
+    def _leaf(self, faces):
+        """Record the connected pairing in ``alpha``, which has ``faces``."""
+        found = self.found
+        if self.target is None:
+            found[faces] = found.get(faces, 0) + 1
+            return
+        least = _least_rotation(self.alpha, self.perms, stop_if_smaller=True)
+        if least is not None:
+            found[tuple(self.alpha[1:])] = least[1]
 
 
 def enumerate_graphs(g: int, mu) -> GraphSum:
-    """Abstract correlator: sum over connected genus-g classes of 1/|Aut|."""
-    mu = tuple(int(m) for m in mu)
+    """Abstract correlator: sum over connected genus-g classes of 1/|Aut|.
+
+    The walk meets the words of a class in lexicographic order, so a
+    connected genus-g pairing is kept only when no rotation gives a smaller
+    word: it is then the class's canonical word, and the rotations that fix
+    it number |Aut|.
+    """
+    mu = _valences(mu)
     if mu == (0,):
         return GraphSum.single(dot_graph(1)) if g == 0 else GraphSum.zero()
-    if any(m < 1 for m in mu):
-        raise ValueError("valences must be positive (or the single (0))")
     h = sum(mu)
     if h % 2 or g < 0:
         return GraphSum.zero()
-    n = len(mu)
-    owner = _vertex_owner(mu)
-    sigma = _sigma_array(mu)
-    counts: dict[FatGraph, int] = {}
-    for alpha_word in involutions(h):
-        alpha = [0] + list(alpha_word)
-        if not _connected(alpha, owner, n):
-            continue
-        faces = _faces_of(alpha, sigma)
-        genus2 = 2 - (n - h // 2 + faces)
-        if genus2 != 2 * g:
-            continue
-        gr = FatGraph(mu, alpha_word)
-        counts[gr] = counts.get(gr, 0) + 1
-    rotations = 1
-    for m in mu:
-        rotations *= m
-    return GraphSum({gr: Fraction(c, rotations) for gr, c in counts.items()})
+    faces = 2 - 2 * g - len(mu) + h // 2
+    walk = _Walk(mu, faces)
+    return GraphSum({FatGraph(mu, word): Fraction(1, aut)
+                     for word, aut in walk.found.items()})
 
 
 def oracle_correlators_all_genus(mu) -> dict[int, TPoly]:
@@ -265,35 +323,19 @@ def oracle_correlators_all_genus(mu) -> dict[int, TPoly]:
     Sums t^faces over all connected pairings divided by prod(mu); equals
     sum over classes of t^faces / |Aut| by orbit-stabilizer.
     """
-    mu = tuple(int(m) for m in mu)
+    mu = _valences(mu)
     if mu == (0,):
         return {0: TPoly.t_power(1)}
-    if any(m < 1 for m in mu):
-        raise ValueError("valences must be positive (or the single (0))")
     h = sum(mu)
     if h % 2:
         return {}
-    n = len(mu)
-    owner = _vertex_owner(mu)
-    sigma = _sigma_array(mu)
-    rotations = 1
-    for m in mu:
-        rotations *= m
-    buckets: dict[int, dict[int, int]] = {}
-    for alpha_word in involutions(h):
-        alpha = [0] + list(alpha_word)
-        if not _connected(alpha, owner, n):
-            continue
-        faces = _faces_of(alpha, sigma)
-        genus2 = 2 - (n - h // 2 + faces)
+    rotations = prod(mu)
+    out = {}
+    for faces, count in _Walk(mu).found.items():
+        genus2 = 2 - (len(mu) - h // 2 + faces)
         if genus2 % 2:
             raise AssertionError("non-integer genus in enumeration")
-        g = genus2 // 2
-        buckets.setdefault(g, {})
-        buckets[g][faces] = buckets[g].get(faces, 0) + 1
-    out = {}
-    for g, by_faces in buckets.items():
-        out[g] = TPoly({f: Fraction(c, rotations) for f, c in by_faces.items()})
+        out[genus2 // 2] = TPoly({faces: Fraction(count, rotations)})
     return out
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import Iterable, Sequence
 
 
@@ -213,32 +215,12 @@ class FatGraph:
             out[perm[h] - 1] = perm[self.alpha[h - 1]]
         return tuple(out)
 
-    def _all_rotations(self):
-        rot = [0] * self.n_vertices
-        while True:
-            yield tuple(rot)
-            i = 0
-            while i < self.n_vertices:
-                rot[i] += 1
-                if rot[i] < max(self.mu[i], 1):
-                    break
-                rot[i] = 0
-                i += 1
-            if i == self.n_vertices:
-                return
-
     def canonical_word(self) -> tuple[int, ...]:
         """Lexicographically minimal alpha word over the rotation group."""
-        if self._canon is not None:
-            return self._canon
-        best = None
-        for rot in self._all_rotations():
-            w = self._rotated_alpha(rot)
-            if best is None or w < best:
-                best = w
-        best = best if best is not None else ()
-        object.__setattr__(self, "_canon", best)
-        return best
+        if self._canon is None:
+            word, _ = _least_rotation((0,) + self.alpha, _rotation_perms(self.mu))
+            object.__setattr__(self, "_canon", tuple(word[1:]))
+        return self._canon
 
     def canonical(self) -> bytes:
         """Canonical byte encoding; equal iff the graphs are equivalent."""
@@ -249,11 +231,7 @@ class FatGraph:
 
     def aut_order(self) -> int:
         """Size of the stabilizer of alpha inside the rotation group."""
-        count = 0
-        for rot in self._all_rotations():
-            if self._rotated_alpha(rot) == self.alpha:
-                count += 1
-        return count
+        return _least_rotation((0,) + self.alpha, _rotation_perms(self.mu))[1]
 
     def rotate(self, rot: Sequence[int]) -> "FatGraph":
         return FatGraph(self.mu, self._rotated_alpha(rot), self.labels)
@@ -322,6 +300,56 @@ def dot_graph(label: int = 1) -> FatGraph:
     return FatGraph((0,), (), (label,))
 
 
+@lru_cache(maxsize=16)
+def _rotation_perms(mu: tuple[int, ...]) -> tuple:
+    """(p, p^-1) for every rotation but the identity, as tuples on 0..H.
+
+    p turns block i forward by r_i; index 0 is fixed, so a word stored with a
+    leading 0 maps to one that keeps it.  p^-1 is the tuple of the rotation
+    by -r, shared, not copied.
+    """
+    sizes = [max(m, 1) for m in mu]
+    perms = {}
+    for rot in product(*map(range, sizes)):
+        p = [0]
+        for r, m in zip(rot, mu):
+            base = len(p)
+            p.extend(base + (pos + r) % m for pos in range(m))
+        perms[rot] = tuple(p)
+    return tuple((p, perms[tuple(-r % m for r, m in zip(rot, sizes))])
+                 for rot, p in perms.items() if any(rot))
+
+
+def _least_rotation(word: Sequence[int], perms, stop_if_smaller: bool = False):
+    """The least rotated form of an alpha word and how many rotations give it.
+
+    ``word`` holds alpha(x) at index x and 0 at index 0; ``perms`` is
+    ``_rotation_perms(mu)``.  Each rotated word p o alpha o p^-1 is compared
+    with the least so far position by position, up to the first difference,
+    and built in full only when it is smaller.  The count of rotations giving
+    the least word is |Aut| (a coset of the stabilizer).  With
+    ``stop_if_smaller`` the scan returns None at the first smaller word.
+    """
+    best = word
+    ties = 1
+    h = len(word)
+    for p, q in perms:
+        for x in range(1, h):
+            v = p[word[q[x]]]
+            if v != best[x]:
+                break
+        else:
+            ties += 1
+            continue
+        if v > best[x]:
+            continue
+        if stop_if_smaller:
+            return None
+        best = [p[word[x]] for x in q]
+        ties = 1
+    return best, ties
+
+
 def involutions(h: int) -> Iterable[tuple[int, ...]]:
     """All fixed-point-free involutions of {1..h}, smallest-free-point pairing.
 
@@ -330,17 +358,16 @@ def involutions(h: int) -> Iterable[tuple[int, ...]]:
     """
     if h % 2:
         return
-    pairing = [0] * (h + 1)
+    yield from _pair_up([0] * (h + 1), list(range(1, h + 1)))
 
-    def rec(free: list[int]):
-        if not free:
-            yield tuple(pairing[1:])
-            return
-        a = free[0]
-        rest = free[1:]
-        for idx, b in enumerate(rest):
-            pairing[a], pairing[b] = b, a
-            yield from rec(rest[:idx] + rest[idx + 1:])
-        pairing[a] = 0
 
-    yield from rec(list(range(1, h + 1)))
+def _pair_up(pairing: list[int], free: list[int]):
+    if not free:
+        yield tuple(pairing[1:])
+        return
+    a = free[0]
+    rest = free[1:]
+    for idx, b in enumerate(rest):
+        pairing[a], pairing[b] = b, a
+        yield from _pair_up(pairing, rest[:idx] + rest[idx + 1:])
+    pairing[a] = 0

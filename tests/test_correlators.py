@@ -63,6 +63,11 @@ def test_zero_valence_in_vector_rejected():
         correlator(0, (2, 0))
 
 
+def test_empty_mu_rejected():
+    with pytest.raises(ValueError, match="mu must have at least one vertex"):
+        correlator(0, ())
+
+
 def test_permutation_invariance():
     assert correlator(0, (2, 4, 6)) == correlator(0, (6, 2, 4))
     assert correlator(1, (1, 3, 2)) == correlator(1, (3, 2, 1))

@@ -1,6 +1,10 @@
 """Graph sums: enumeration, the oracle, edge contraction, the recursion."""
 
+import gc
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -9,7 +13,7 @@ from fatrec.graphsum import (GraphSum, contract_K1, enumerate_graphs,
                              graph_union, oracle_correlator,
                              oracle_correlators_all_genus,
                              relabel, verify_abstract_recursion)
-from fatrec.ribbon import FatGraph, dot_graph, loop_graph
+from fatrec.ribbon import FatGraph, dot_graph, involutions, loop_graph
 
 
 def test_enumerate_single_loop():
@@ -178,3 +182,93 @@ def test_recursion_sweep_small():
     for mu in [(4,), (6,), (2, 2), (3, 1), (4, 2), (1, 1, 2), (2, 2, 2), (3, 3)]:
         for g in range(0, 2):
             assert verify_abstract_recursion(g, mu).equal, (g, mu)
+
+
+# ---------------------------------------------------------------------------
+# The pairing walk against a loop over every involution
+# ---------------------------------------------------------------------------
+
+# Orders that are not descending, with 1s, and inputs that are mostly
+# disconnected pairings.
+UNSORTED_MU = [(1, 1, 2), (1, 2, 1), (4, 1, 1), (1, 4, 1), (1, 3), (2, 4),
+               (1, 1, 1, 1, 2), (1, 2, 1, 2, 1, 1), (2, 2, 2, 2, 1, 1),
+               (1, 2, 3, 4), (3, 1, 1, 1)]
+
+
+@lru_cache(maxsize=None)
+def _reference(mu):
+    """{genus: {first alpha met: [pairings, faces]}}, one entry per class.
+
+    A class is the orbit of a connected pairing under every rotation; its
+    first member met in ``involutions`` order is the representative.
+    """
+    out = {}
+    seen = {}
+    rotations = list(product(*(range(max(m, 1)) for m in mu)))
+    for alpha in involutions(sum(mu)):
+        if alpha in seen:
+            seen[alpha][0] += 1
+            continue
+        gr = FatGraph(mu, alpha)
+        if not gr.is_connected():
+            continue
+        faces = gr.face_count()
+        genus2 = 2 - len(mu) + gr.n_edges - faces
+        assert genus2 % 2 == 0
+        entry = out.setdefault(genus2 // 2, {})[alpha] = [1, faces]
+        for rot in rotations:
+            seen[gr._rotated_alpha(rot)] = entry
+    return out
+
+
+def _walk_cases(total):
+    cases = list(_partitions(total))
+    cases += [mu for mu in UNSORTED_MU if sum(mu) == total]
+    return cases
+
+
+@pytest.mark.parametrize("total", range(1, 11))
+def test_enumerate_matches_per_involution_reference(total):
+    for mu in _walk_cases(total):
+        ref = _reference(mu)
+        for g in range(0, total // 4 + 2):
+            expected = sorted(
+                (FatGraph(mu, alpha).to_text(), Fraction(count, prod(mu)))
+                for alpha, (count, _) in ref.get(g, {}).items())
+            got = sorted((gr.to_text(), c)
+                         for gr, c in enumerate_graphs(g, mu).terms.items())
+            assert got == expected, (g, mu)
+
+
+@pytest.mark.parametrize("total", range(1, 11))
+def test_oracle_matches_per_involution_reference(total):
+    for mu in _walk_cases(total):
+        expected = {}
+        for g, classes in _reference(mu).items():
+            poly = TPoly.zero()
+            for count, faces in classes.values():
+                poly = poly + TPoly.t_power(faces, Fraction(count, prod(mu)))
+            expected[g] = poly
+        assert oracle_correlators_all_genus(mu) == expected, mu
+
+
+def test_brute_force_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_graphs(1, (6, 2))
+        oracle_correlators_all_genus((5, 3))
+        verify_abstract_recursion(0, (4, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_enumerate_rejects_empty_mu():
+    with pytest.raises(ValueError, match="mu must have at least one vertex"):
+        enumerate_graphs(1, ())
+
+
+def test_oracle_rejects_empty_mu():
+    with pytest.raises(ValueError, match="mu must have at least one vertex"):
+        oracle_correlators_all_genus(())

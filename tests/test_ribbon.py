@@ -1,6 +1,7 @@
 """Fat-graph structure: faces, genus, components, canonical form, Aut."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -153,3 +154,40 @@ def test_from_text_documented_example():
     assert g.mu == (3, 3)
     assert g.n_edges == 3
     assert g.to_text() == "n=2; mu=3,3; alpha=(1 4)(2 5)(3 6)"
+
+
+def _random_graph(rng, n):
+    while True:
+        mu = [rng.randrange(6) for _ in range(n)]
+        if sum(mu) % 2 == 0:
+            break
+    halves = list(range(1, sum(mu) + 1))
+    rng.shuffle(halves)
+    alpha = {}
+    for a, b in zip(halves[::2], halves[1::2]):
+        alpha[a], alpha[b] = b, a
+    return FatGraph(mu, alpha)
+
+
+def _scan_cases():
+    from fatrec.graphsum import graph_union
+    rng = random.Random(2024)
+    cases = [dot_graph(),
+             graph_union(dot_graph(1), FatGraph((2,), (2, 1), (2,))),
+             graph_union(dot_graph(3), theta_graph()),
+             graph_union(FatGraph((0, 0), (), (1, 3)),
+                         FatGraph((4,), (3, 4, 1, 2), (2,)))]
+    for n in range(1, 5):
+        cases += [_random_graph(rng, n) for _ in range(40)]
+    return cases
+
+
+def test_rotation_scan_matches_every_rotation():
+    # canonical_word and aut_order against all _rotated_alpha words
+    cases = _scan_cases()
+    assert any(0 in g.mu and g.n_half_edges for g in cases)
+    for g in cases:
+        words = [g._rotated_alpha(rot)
+                 for rot in product(*(range(max(m, 1)) for m in g.mu))]
+        assert g.canonical_word() == min(words), g
+        assert g.aut_order() == words.count(g.alpha), g
