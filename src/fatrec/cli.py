@@ -13,12 +13,13 @@ import sys
 from fractions import Fraction
 
 from .correlators import (CacheError, CorrelatorCache, correlator,
-                          free_energy, partition_function)
+                          free_energy, max_feasible_genus, partition_function)
 from .exact import rat_str
-from .graphsum import enumerate_graphs
-from .npoint import (NPointRecursion, qsc_residual, w_from_correlators,
-                     xseries_to_json_terms)
-from .suites import SUITE_NAMES, run_suite
+
+# the names suites.run_suite accepts; each handler imports the modules it needs
+SUITE_NAMES = ("abstract-rec", "oracle", "virasoro", "commutators",
+               "heisenberg", "cutjoin", "npoint", "qsc", "spectral",
+               "deformation")
 
 
 def _parse_mu(text: str) -> tuple[int, ...]:
@@ -138,9 +139,9 @@ def _cmd_correlator(args, cache) -> int:
 
 
 def _cmd_enumerate(args, cache) -> int:
+    from .graphsum import enumerate_graphs
     genera = [args.genus] if args.genus is not None else None
     if genera is None:
-        from .suites import max_feasible_genus
         genera = list(range(0, max_feasible_genus(args.mu) + 1))
     lines = []
     payload = {"mu": list(args.mu), "classes": []}
@@ -181,6 +182,7 @@ def _cmd_partition(args, cache) -> int:
 
 
 def _cmd_npoint(args, cache) -> int:
+    from .npoint import NPointRecursion, w_from_correlators, xseries_to_json_terms
     if args.route == "recursion" and (args.g, args.n) != (0, 1):
         series = NPointRecursion(args.max_weight, cache).cell(args.g, args.n)
     else:
@@ -194,6 +196,7 @@ def _cmd_npoint(args, cache) -> int:
 
 
 def _cmd_qsc(args, cache) -> int:
+    from .npoint import qsc_residual
     report = qsc_residual(args.m_max, args.max_weight, cache)
     _emit(args, [f"suite=qsc m_max={args.m_max} K={args.max_weight} "
                  f"status={report.status}"]
@@ -204,6 +207,7 @@ def _cmd_qsc(args, cache) -> int:
 
 
 def _cmd_verify(args, cache) -> int:
+    from .suites import run_suite
     params = {}
     for key in ("m_max", "max_weight", "max_order", "max_parts", "max_subscript"):
         value = getattr(args, key)
@@ -221,19 +225,20 @@ def _cmd_verify(args, cache) -> int:
 
 def _cmd_cache(args, cache) -> int:
     import os
-    path = cache.path or CorrelatorCache.resolve_path(args.cache_path)
-    probe = CorrelatorCache(path)
-    probe.load()
-    first = probe.serialize()
+    if cache.path is None:  # --no-cache read nothing; check the file all the same
+        cache = CorrelatorCache(CorrelatorCache.resolve_path(args.cache_path))
+        cache.load()
+    path = cache.path
+    first = cache.serialize()
     if not os.path.exists(path):
-        probe.save()
+        cache.save()
     reloaded = CorrelatorCache(path)
     reloaded.load()
     second = reloaded.serialize()
-    ok = (first == second) and reloaded.table == probe.table
-    payload = {"suite": "cache", "path": path, "entries": len(probe.table),
+    ok = (first == second) and reloaded.table == cache.table
+    payload = {"suite": "cache", "path": path, "entries": len(cache.table),
                "status": "pass" if ok else "fail"}
-    _emit(args, [f"cache path={path} entries={len(probe.table)} "
+    _emit(args, [f"cache path={path} entries={len(cache.table)} "
                  f"status={payload['status']}"], payload)
     return 0 if ok else 1
 
@@ -264,7 +269,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.no_cache and cache.path and args.command != "cache":
+    # save only when the run added a cell to what the file holds
+    if (not args.no_cache and cache.path and args.command != "cache"
+            and cache.stored != len(cache.table)):
         try:
             cache.save()
         except CacheError as exc:

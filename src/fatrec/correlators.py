@@ -13,9 +13,10 @@ sorted descending, mu1 its first part and rest the others,
 
 where the splits I+J of rest run over sub-multisets weighted by binomials.
 ``_compute`` derives one cell and ``_derive`` runs those derivations on an
-explicit stack, so depth is not bounded by Python's recursion limit.  A TPoly
-is built only where a cell enters ``CorrelatorCache.table``.  A persistent
-JSON cache keyed by (g, sorted mu) makes the superpolynomial recursion cheap
+explicit stack, so depth is not bounded by Python's recursion limit.
+``CorrelatorCache.table`` holds these integers; ``gluing_count`` reads one
+and ``correlator`` builds its TPoly only at its return.  A persistent JSON
+cache keyed by (g, sorted mu) makes the superpolynomial recursion cheap
 across runs.
 """
 
@@ -23,12 +24,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, gcd, prod
 from typing import Iterable
 
-from .exact import (CouplingMonomial, CouplingSeries, Rat, TPoly, rat_str,
-                    series_exp)
+from .exact import CouplingMonomial, CouplingSeries, Rat, TPoly, series_exp
 
 CACHE_ENV = "FATREC_CACHE"
 DEFAULT_CACHE_PATH = "./fatrec-cache.json"
@@ -39,26 +40,35 @@ class CacheError(Exception):
     """Raised when a persistent cache cannot be loaded."""
 
 
+class CacheMismatch(CacheError, AssertionError):
+    """Raised by ``--paranoid`` when a cached cell differs from its re-derivation."""
+
+
+# the canonical "p" and "p/q" coefficient forms, parsed without Fraction
+_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _desc(mu: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(mu, reverse=True))
 
 
-def _sorted_key(g: int, mu: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    return g, _desc(mu)
-
-
 class CorrelatorCache:
-    """In-memory memo table with optional JSON persistence.
+    """In-memory table of the integers C_g(mu), with optional JSON persistence.
 
+    ``table`` maps (g, mu sorted descending) to C_g(mu) = prod(mu) * F_g^mu;
+    ``correlator`` turns a cell into the TPoly F_g^mu when it returns it.
     File format: {"version": 1, "entries": [{"g", "mu", "t_power", "coeff"}]}
-    with entries sorted by (g, mu); a zero correlator is stored with
-    t_power 0 and coeff "0".
+    with entries sorted by (g, mu) and coeff = F_g^mu's coefficient; a zero
+    correlator is stored with t_power 0 and coeff "0".  ``stored`` is the
+    table's size when the file was last read or written (None before that),
+    so a caller can tell whether cells were added since.
     """
 
     def __init__(self, path: str | None = None, paranoid: bool = False):
-        self.table: dict[tuple[int, tuple[int, ...]], TPoly] = {}
+        self.table: dict[tuple[int, tuple[int, ...]], int] = {}
         self.path = path
         self.paranoid = paranoid
+        self.stored: int | None = None
 
     # -- persistence --------------------------------------------------------
 
@@ -81,24 +91,21 @@ class CorrelatorCache:
         for entry in data.get("entries", []):
             try:
                 g = int(entry["g"])
-                mu = tuple(int(x) for x in entry["mu"])
-                coeff = Fraction(entry["coeff"])
-                poly = TPoly({int(entry["t_power"]): coeff}) if coeff else TPoly.zero()
-                _cell_int(g, mu, poly)
+                mu = tuple(map(int, entry["mu"]))
+                value = _entry_count(g, mu, entry)
             except (KeyError, ValueError, TypeError) as exc:
                 raise CacheError(f"malformed cache entry: {entry!r}") from exc
-            self.table[_sorted_key(g, mu)] = poly
+            self.table[(g, _desc(mu))] = value
+        self.stored = len(self.table)
 
     def serialize(self) -> str:
         entries = []
         for (g, mu) in sorted(self.table):
-            poly = self.table[(g, mu)]
-            single = poly.single_term()
-            if single is None and not poly.is_zero():
-                raise AssertionError("correlator is not a t-monomial")
-            t_power, coeff = single if single else (0, Fraction(0))
-            entries.append({"g": g, "mu": list(mu), "t_power": t_power,
-                            "coeff": rat_str(coeff)})
+            value, size = self.table[(g, mu)], prod(mu)
+            d = gcd(value, size)  # size when value is 0
+            coeff = f"{value // d}" if d == size else f"{value // d}/{size // d}"
+            entries.append({"g": g, "mu": list(mu), "coeff": coeff,
+                            "t_power": _t_power(g, mu) if value else 0})
         return json.dumps({"version": CACHE_VERSION, "entries": entries},
                           separators=(",", ":"), sort_keys=True)
 
@@ -114,6 +121,7 @@ class CorrelatorCache:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(payload)
             os.replace(tmp, self.path)
+            self.stored = len(self.table)
         except FileExistsError:
             raise CacheError(f"cache is locked: {lock}")
         finally:
@@ -131,25 +139,38 @@ def correlator(g: int, mu, cache: CorrelatorCache | None = None) -> TPoly:
     mu is a vector of positive valences, or the singleton (0).  Negative
     genus gives zero; odd |mu| gives zero.
     """
+    mu = tuple(map(int, mu))
+    if mu == (0,) and g >= 0:
+        return TPoly.t_power(1) if g == 0 else TPoly.zero()
+    value = gluing_count(g, mu, cache)
+    if not value:
+        return TPoly.zero()
+    return TPoly.t_power(_t_power(g, mu), Fraction(value, prod(mu)))
+
+
+def gluing_count(g: int, mu, cache: CorrelatorCache | None = None) -> int:
+    """C_g(mu) = prod(mu) * F_g^mu as an int: the labelled gluings of mu.
+
+    The integer cell behind ``correlator``; mu is a vector of positive
+    valences.  Negative genus and odd |mu| give 0.
+    """
     if cache is None:
         cache = _session_cache
-    mu = tuple(int(m) for m in mu)
+    mu = tuple(map(int, mu))
     if not mu:
         raise ValueError("mu must have at least one vertex")
     if g < 0:
-        return TPoly.zero()
-    if mu == (0,):
-        return TPoly.t_power(1) if g == 0 else TPoly.zero()
+        return 0
     if any(m <= 0 for m in mu):
         raise ValueError("valences must be positive (or the single (0))")
     if sum(mu) % 2:
-        return TPoly.zero()
-    key = _sorted_key(g, mu)
+        return 0
+    key = (g, _desc(mu))
     hit = cache.table.get(key)
     if hit is None:
         return _derive(key, cache.table)
     if cache.paranoid and _derive(key, cache.table) != hit:
-        raise AssertionError(f"cache mismatch at {key}")
+        raise CacheMismatch(f"cache mismatch at {key}")
     return hit
 
 
@@ -158,35 +179,47 @@ def _t_power(g: int, mu: tuple[int, ...]) -> int:
     return 2 - 2 * g - len(mu) + sum(mu) // 2
 
 
-def _cell_int(g: int, mu: tuple[int, ...], poly: TPoly) -> int:
-    """C_g(mu) = prod(mu) * F_g^mu of a stored cell, as an int.
+def max_feasible_genus(mu) -> int:
+    """Largest genus allowed by the selection rule t-power >= 1."""
+    return max(-1, (_t_power(0, mu) - 1) // 2)
 
-    Raises ValueError unless the valences are positive and a nonzero cell is
-    one t-monomial that obeys the selection rule with an integral C_g(mu).
+
+def _entry_count(g: int, mu: tuple[int, ...], entry: dict) -> int:
+    """C_g(mu) = prod(mu) * coeff of a cache file entry, as an int.
+
+    The canonical "p" and "p/q" forms are parsed with int; every other coeff,
+    and a zero denominator, is parsed (or refused) by Fraction.
+    Raises ValueError unless the valences are positive and a nonzero entry
+    obeys the selection rule with an integral C_g(mu).
     """
+    coeff = entry["coeff"]
+    match = _COEFF.fullmatch(coeff) if isinstance(coeff, str) else None
+    num, den = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+    if not den:
+        num, den = Fraction(coeff).as_integer_ratio()
+    if num:
+        t_power = int(entry["t_power"])
     if not mu or min(mu) <= 0:
         raise ValueError(f"non-positive valence in {list(mu)}")
-    if poly.is_zero():
+    if not num:
         return 0
-    single = poly.single_term()
-    if single is None or sum(mu) % 2 or single[0] != _t_power(g, mu):
-        raise ValueError(f"{poly} breaks the selection rule")
-    value = single[1] * prod(mu)
-    if value.denominator != 1:
-        raise ValueError(f"prod(mu) * coeff = {value} is not an integer")
-    return value.numerator
+    if t_power < 0 or sum(mu) % 2 or t_power != _t_power(g, mu):
+        raise ValueError(f"t^{t_power} breaks the selection rule")
+    value, remainder = divmod(num * prod(mu), den)
+    if remainder:
+        raise ValueError(f"prod(mu) * {coeff} is not an integer")
+    return value
 
 
 def _derive(key: tuple[int, tuple[int, ...]],
-            table: dict[tuple[int, tuple[int, ...]], TPoly]) -> TPoly:
-    """Derive the cell ``key`` from its children and return it as a TPoly.
+            table: dict[tuple[int, tuple[int, ...]], int]) -> int:
+    """Derive C_g(mu) of the cell ``key`` from its children.
 
     Cells missing from ``table`` are derived first, on an explicit stack of
     ``_compute`` frames; every derived cell, ``key`` included, is stored in
     ``table``.  Other cells already in ``table`` are read, not derived.
     """
-    ints: dict[tuple[int, tuple[int, ...]], int] = {}
-    stack = [(key, _compute(*key, ints))]
+    stack = [(key, _compute(*key, table))]
     sent = None
     while True:
         cell, frame = stack[-1]
@@ -194,19 +227,12 @@ def _derive(key: tuple[int, tuple[int, ...]],
             child = frame.send(sent)
         except StopIteration as done:
             stack.pop()
-            g, mu = cell
-            sent = ints[cell] = done.value
-            table[cell] = (TPoly({_t_power(g, mu): Fraction(sent, prod(mu))})
-                           if sent else TPoly.zero())
+            sent = table[cell] = done.value
             if not stack:
-                return table[cell]
-            continue
-        known = table.get(child)
-        if known is None:
-            stack.append((child, _compute(*child, ints)))
-            sent = None
+                return sent
         else:
-            sent = ints[child] = _cell_int(*child, known)
+            stack.append((child, _compute(*child, table)))
+            sent = None
 
 
 def _splits(rest: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int, tuple[int, ...]]]:
@@ -223,10 +249,10 @@ def _splits(rest: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int, tupl
     return [(w, left, sum(left), right) for w, left, right in splits]
 
 
-def _compute(g: int, mu: tuple[int, ...], ints: dict):
+def _compute(g: int, mu: tuple[int, ...], table: dict):
     """Generator deriving C_g(mu), mu sorted descending, from its children.
 
-    Each child key missing from ``ints`` is yielded, and its value must be
+    Each child key missing from ``table`` is yielded, and its value must be
     sent back; the generator returns C_g(mu).  This is the recursion
     multiplied through by prod(mu), so every term is an integer.
     """
@@ -241,7 +267,7 @@ def _compute(g: int, mu: tuple[int, ...], ints: dict):
         if m0 > 0:
             i = rest.index(v)
             key = (g, _desc((m0,) + rest[:i] + rest[i + 1:]))
-            c = ints.get(key)
+            c = table.get(key)
             if c is None:
                 c = yield key
             acc += rest.count(v) * v * c
@@ -254,7 +280,7 @@ def _compute(g: int, mu: tuple[int, ...], ints: dict):
         b = mu1 - 2 - a
         if g:
             key = (g - 1, _desc((a, b) + rest))
-            c = ints.get(key)
+            c = table.get(key)
             if c is None:
                 c = yield key
             acc += c
@@ -265,20 +291,20 @@ def _compute(g: int, mu: tuple[int, ...], ints: dict):
             right_mu = _desc((b,) + right_rest)
             for g1 in range(g + 1):
                 key = (g1, left_mu)
-                left = ints.get(key)
+                left = table.get(key)
                 if left is None:
                     left = yield key
                 if not left:
                     continue
                 key = (g - g1, right_mu)
-                right = ints.get(key)
+                right = table.get(key)
                 if right is None:
                     right = yield key
                 acc += w * left * right
 
     if mu1 > 2:
         key = (g, _desc((mu1 - 2,) + rest))
-        c = ints.get(key)
+        c = table.get(key)
         if c is None:
             c = yield key
         acc += 2 * c
@@ -290,20 +316,26 @@ def _compute(g: int, mu: tuple[int, ...], ints: dict):
 
 def connected_correlator(g: int, mu, cache: CorrelatorCache | None = None) -> TPoly:
     """<p_mu1 ... p_mun>_g^c = prod(mu) * F_g^mu."""
-    mu = tuple(int(m) for m in mu)
+    mu = tuple(map(int, mu))
     return Fraction(prod(mu)) * correlator(g, mu, cache)
 
 
-def _partitions_up_to(total: int):
-    """All partitions (sorted descending) of every size 1..total."""
+def _partitions(total: int, max_parts: int):
+    """Partitions of ``total`` into at most ``max_parts`` parts, descending."""
 
-    def rec(remaining: int, maximum: int, prefix: tuple[int, ...]):
-        if prefix:
+    def rec(remaining, maximum, prefix):
+        if remaining == 0:
             yield prefix
-        for part in range(min(remaining, maximum), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
+        elif len(prefix) < max_parts:
+            for part in range(min(remaining, maximum), 0, -1):
+                yield from rec(remaining - part, part, prefix + (part,))
 
     yield from rec(total, total, ())
+
+
+def _symmetry(mu: tuple[int, ...]) -> int:
+    """prod_k m_k!, m_k the multiplicity of k in mu: the ordered tuples per multiset."""
+    return prod(factorial(mu.count(k)) for k in set(mu))
 
 
 def free_energy(g: int, max_weight: int, cache: CorrelatorCache | None = None) -> CouplingSeries:
@@ -313,24 +345,12 @@ def free_energy(g: int, max_weight: int, cache: CorrelatorCache | None = None) -
     multiset; truncated at total coupling weight ``max_weight``.
     """
     terms: dict[CouplingMonomial, Rat] = {}
-    for mu in _partitions_up_to(max_weight):
-        if sum(mu) % 2:
-            continue
-        value = correlator(g, mu, cache)
-        if value.is_zero():
-            continue
-        sym = 1
-        counts: dict[int, int] = {}
-        for m in mu:
-            counts[m] = counts.get(m, 0) + 1
-        for c in counts.values():
-            f = 1
-            for i in range(2, c + 1):
-                f *= i
-            sym *= f
-        for t_power, coeff in value.terms.items():
-            mono = CouplingMonomial(mu, t_power, 0)
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff / sym
+    for w in range(2, max_weight + 1, 2):
+        for mu in _partitions(w, w):
+            value = gluing_count(g, mu, cache)
+            if value:
+                mono = CouplingMonomial(mu, _t_power(g, mu), 0)
+                terms[mono] = Fraction(value, prod(mu) * _symmetry(mu))
     return CouplingSeries(terms, max_weight)
 
 

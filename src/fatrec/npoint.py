@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
-from .correlators import CorrelatorCache, correlator
+from .correlators import (CorrelatorCache, _partitions, _symmetry, _t_power,
+                          gluing_count)
 from .exact import TPoly, rat_str
 from .virasoro import SuiteReport
 from .xseries import XSeries, xseries_diag, xseries_invert
@@ -20,17 +22,7 @@ from .xseries import XSeries, xseries_diag, xseries_invert
 
 def _partitions_exact(total: int, parts: int):
     """Partitions of ``total`` into exactly ``parts`` positive parts, descending."""
-
-    def rec(remaining, maximum, slots, prefix):
-        if slots == 0:
-            if remaining == 0:
-                yield prefix
-            return
-        top = min(remaining - (slots - 1), maximum)
-        for part in range(top, 0, -1):
-            yield from rec(remaining - part, part, slots - 1, prefix + (part,))
-
-    yield from rec(total, total, parts, ())
+    return [mu for mu in _partitions(total, parts) if len(mu) == parts]
 
 
 def _xvars(n: int) -> tuple[str, ...]:
@@ -50,13 +42,10 @@ def w_from_correlators(g: int, n: int, max_mu_weight: int,
         if w % 2:
             continue
         for part in _partitions_exact(w, n):
-            value = correlator(g, part, cache)
-            if value.is_zero():
+            count = gluing_count(g, part, cache)
+            if not count:
                 continue
-            factor = 1
-            for m in part:
-                factor *= m
-            value = Fraction(factor) * value
+            value = TPoly.t_power(_t_power(g, part), count)
             for mu in set(permutations(part)):
                 terms[tuple(-m - 1 for m in mu)] = value
     return XSeries(variables, terms, None, None)
@@ -214,23 +203,12 @@ def _s_gn(g: int, n: int, max_mu_weight: int, cache: CorrelatorCache | None,
     for w in range(n, max_mu_weight + 1):
         if w % 2:
             continue
-        total = TPoly.zero()
-        for part in _partitions_exact(w, n):
-            value = correlator(g, part, cache)
-            if value.is_zero():
-                continue
-            sym = 1
-            counts: dict[int, int] = {}
-            for m in part:
-                counts[m] = counts.get(m, 0) + 1
-            for c in counts.values():
-                f = 1
-                for i in range(2, c + 1):
-                    f *= i
-                sym *= f
-            total = total + value * Fraction(1, sym)
-        if not total.is_zero() and not zeroed:
-            terms[(-w,)] = total
+        parts = _partitions_exact(w, n)
+        total = sum(Fraction(gluing_count(g, part, cache), prod(part) * _symmetry(part))
+                    for part in parts)
+        if total and not zeroed:
+            # all n-part mu of size w share one t-power
+            terms[(-w,)] = TPoly.t_power(_t_power(g, parts[0]), total)
     if zeroed:
         terms = {}
     return XSeries(("x",), terms, logc, None)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import random
 
-from .correlators import CorrelatorCache, correlator, partition_function
+from .correlators import (CorrelatorCache, _partitions, correlator,
+                          max_feasible_genus, partition_function)
 from .cutjoin import exp_M_vacuum
 from .exact import CouplingMonomial, TPoly
 from .graphsum import oracle_correlators_all_genus, verify_abstract_recursion
@@ -16,19 +17,6 @@ from .npoint import qsc_residual, w_from_correlators, NPointRecursion
 from .virasoro import (SuiteReport, commutator_check, heisenberg_check,
                        spectral_curve_check, verify_virasoro,
                        y_squared_negative_part)
-
-
-def _partitions_of(total: int, max_parts: int):
-    def rec(remaining, maximum, prefix):
-        if remaining == 0:
-            yield prefix
-            return
-        if len(prefix) == max_parts:
-            return
-        for part in range(min(remaining, maximum), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(total, total, ())
 
 
 def _compositions_of(total: int, max_parts: int):
@@ -43,11 +31,6 @@ def _compositions_of(total: int, max_parts: int):
             yield from rec(remaining - part, prefix + (part,))
 
     yield from rec(total, ())
-
-
-def max_feasible_genus(mu) -> int:
-    """Largest genus allowed by the selection rule t-power >= 1."""
-    return max(-1, (2 - len(mu) + sum(mu) // 2 - 1) // 2)
 
 
 def abstract_recursion_suite(max_size: int = 8, max_parts: int = 3) -> SuiteReport:
@@ -73,7 +56,7 @@ def oracle_suite(max_size: int = 12, max_parts: int = 4,
     violations = []
     checked = 0
     for total in range(2, max_size + 1, 2):
-        for mu in _partitions_of(total, max_parts):
+        for mu in _partitions(total, max_parts):
             by_genus = oracle_correlators_all_genus(mu)
             for g in range(0, max_feasible_genus(mu) + 1):
                 checked += 1
@@ -92,7 +75,7 @@ def commutator_suite(m_max: int = 4, weight_bound: int = 8,
     """Exhaustive [L_m, L_n] = (m-n) L_{m+n} sweep over probe monomials."""
     probes = [CouplingMonomial(())]
     for total in range(1, weight_bound + 1):
-        for mu in _partitions_of(total, weight_bound):
+        for mu in _partitions(total, weight_bound):
             if max(mu) <= max_subscript:
                 probes.append(CouplingMonomial(mu))
     violations = []
@@ -174,38 +157,30 @@ def npoint_suite(max_mu_weight: int = 8,
                        status, violations)
 
 
+# name -> runner(cache, params); the CLI offers these names as fatrec.cli.SUITE_NAMES
+_RUNNERS = {
+    "abstract-rec": lambda cache, p: abstract_recursion_suite(
+        p.get("max_weight", 8), p.get("max_parts", 3)),
+    "oracle": lambda cache, p: oracle_suite(
+        p.get("max_weight", 8), p.get("max_parts", 4), cache),
+    "virasoro": lambda cache, p: verify_virasoro(
+        p.get("m_max", 4), p.get("max_weight", 6), cache),
+    "commutators": lambda cache, p: commutator_suite(
+        p.get("m_max", 4), p.get("max_weight", 8), p.get("max_subscript", 6)),
+    "heisenberg": lambda cache, p: heisenberg_suite(p.get("m_max", 6)),
+    "cutjoin": lambda cache, p: cutjoin_suite(p.get("max_weight", 4), cache),
+    "npoint": lambda cache, p: npoint_suite(p.get("max_order", 8), cache),
+    "qsc": lambda cache, p: qsc_residual(
+        p.get("m_max", 3), p.get("max_order", 8), cache),
+    "spectral": lambda cache, p: spectral_curve_check(p.get("max_order", 8), cache),
+    "deformation": lambda cache, p: y_squared_negative_part(
+        p.get("max_weight", 6), p.get("max_order", 8), cache),
+}
+
+
 def run_suite(name: str, cache: CorrelatorCache | None = None, **params) -> SuiteReport:
     """Dispatch a suite by CLI name."""
-    if name == "abstract-rec":
-        return abstract_recursion_suite(params.get("max_weight", 8),
-                                        params.get("max_parts", 3))
-    if name == "oracle":
-        return oracle_suite(params.get("max_weight", 8),
-                            params.get("max_parts", 4), cache)
-    if name == "virasoro":
-        return verify_virasoro(params.get("m_max", 4),
-                               params.get("max_weight", 6), cache)
-    if name == "commutators":
-        return commutator_suite(params.get("m_max", 4),
-                                params.get("max_weight", 8),
-                                params.get("max_subscript", 6))
-    if name == "heisenberg":
-        return heisenberg_suite(params.get("m_max", 6))
-    if name == "cutjoin":
-        return cutjoin_suite(params.get("max_weight", 4), cache)
-    if name == "npoint":
-        return npoint_suite(params.get("max_order", 8), cache)
-    if name == "qsc":
-        return qsc_residual(params.get("m_max", 3),
-                            params.get("max_order", 8), cache)
-    if name == "spectral":
-        return spectral_curve_check(params.get("max_order", 8), cache)
-    if name == "deformation":
-        return y_squared_negative_part(params.get("max_weight", 6),
-                                       params.get("max_order", 8), cache)
-    raise ValueError(f"unknown suite: {name}")
-
-
-SUITE_NAMES = ("abstract-rec", "oracle", "virasoro", "commutators",
-               "heisenberg", "cutjoin", "npoint", "qsc", "spectral",
-               "deformation")
+    runner = _RUNNERS.get(name)
+    if runner is None:
+        raise ValueError(f"unknown suite: {name}")
+    return runner(cache, params)

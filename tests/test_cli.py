@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import fatrec
-from fatrec.cli import main
+from fatrec.cli import SUITE_NAMES, main
+from fatrec.correlators import CorrelatorCache
 
 # The children run in a temp dir, where a relative PYTHONPATH (``src``) does
 # not resolve; point them at the package these tests import.
@@ -162,3 +163,117 @@ def test_deep_correlator_exits_0(workdir):
     r = run_cli(["correlator", "--g", "0", "--mu", "2000", "--no-cache"], workdir)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip().endswith(" * t^1001")
+
+
+def test_paranoid_mismatch_one_line_exit_1(workdir):
+    path = os.path.join(workdir, "fatrec-cache.json")
+    poisoned = '{"version":1,"entries":[{"coeff":"3/4","g":0,"mu":[4],"t_power":3}]}'
+    with open(path, "w") as fh:
+        fh.write(poisoned)
+    r = run_cli(["correlator", "--g", "0", "--mu", "4", "--paranoid"], workdir)
+    assert r.returncode == 1
+    assert r.stderr == "error: cache mismatch at (0, (4,))\n"
+    assert r.stdout == ""
+    with open(path) as fh:
+        assert fh.read() == poisoned
+
+
+def test_warm_repeat_leaves_cache_file_untouched(workdir):
+    path = os.path.join(workdir, "fatrec-cache.json")
+    assert run_cli(["correlator", "--g", "1", "--mu", "6,2"], workdir).returncode == 0
+    os.utime(path, ns=(10 ** 9, 10 ** 9))  # a rewrite would move the mtime
+    with open(path, "rb") as fh:
+        before = fh.read()
+    for args in (["correlator", "--g", "1", "--mu", "6,2"],
+                 ["correlator", "--g", "1", "--mu", "2,6", "--format", "json"],
+                 ["correlator", "--g", "1", "--mu", "4"]):  # a cell of the first run
+        r = run_cli(args, workdir)
+        assert r.returncode == 0 and r.stderr == ""
+        assert os.stat(path).st_mtime_ns == 10 ** 9
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert sorted(os.listdir(workdir)) == ["fatrec-cache.json"]
+
+
+def test_cold_request_still_writes_its_cells(workdir):
+    path = os.path.join(workdir, "fatrec-cache.json")
+    run_cli(["correlator", "--g", "0", "--mu", "4"], workdir)
+    os.utime(path, ns=(10 ** 9, 10 ** 9))
+    r = run_cli(["correlator", "--g", "1", "--mu", "8"], workdir)
+    assert r.returncode == 0
+    assert os.stat(path).st_mtime_ns != 10 ** 9
+    with open(path) as fh:
+        entries = json.load(fh)["entries"]
+    assert {"g": 1, "mu": [8], "t_power": 3, "coeff": "35/4"} in entries
+    assert {"g": 0, "mu": [4], "t_power": 3, "coeff": "1/2"} in entries
+    assert sorted(os.listdir(workdir)) == ["fatrec-cache.json"]
+
+
+def test_fresh_run_without_cells_writes_an_empty_cache(workdir):
+    r = run_cli(["enumerate", "--mu", "4", "--genus", "0"], workdir)
+    assert r.returncode == 0
+    with open(os.path.join(workdir, "fatrec-cache.json")) as fh:
+        assert fh.read() == '{"entries":[],"version":1}'
+
+
+@pytest.mark.parametrize("no_cache", [False, True])
+def test_cache_command_loads_the_file_twice(tmp_path, capsys, monkeypatch, no_cache):
+    monkeypatch.chdir(tmp_path)
+    assert main(["correlator", "--g", "1", "--mu", "4"]) == 0
+    capsys.readouterr()
+    loads = []
+    load = CorrelatorCache.load
+
+    def counted(self):
+        loads.append(self.path)
+        return load(self)
+
+    monkeypatch.setattr(CorrelatorCache, "load", counted)
+    assert main(["cache"] + ["--no-cache"] * no_cache) == 0
+    path = "./fatrec-cache.json"
+    assert loads == [path, path]
+    assert capsys.readouterr().out == f"cache path={path} entries=3 status=pass\n"
+
+
+def test_suite_choices_are_the_names_run_suite_accepts():
+    from fatrec import suites
+    assert len(set(SUITE_NAMES)) == len(SUITE_NAMES)
+    assert set(SUITE_NAMES) == set(suites._RUNNERS)
+    with pytest.raises(ValueError, match="unknown suite"):
+        suites.run_suite("bogus")
+
+
+# what any fatrec subcommand loads
+BASE_MODULES = ["fatrec", "fatrec.cli", "fatrec.correlators", "fatrec.exact"]
+
+
+def modules_loaded_by(code):
+    """The fatrec and dataclasses modules a fresh interpreter holds after ``code``."""
+    probe = ("import sys\nbefore = set(sys.modules)\n" + code +
+             "\nprint(' '.join(sorted(m for m in set(sys.modules) - before"
+             " if m.split('.')[0] in ('fatrec', 'dataclasses'))))")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                       text=True, env=cli_env())
+    assert r.returncode == 0, r.stderr
+    return r.stdout.split()
+
+
+def test_import_fatrec_loads_no_submodule():
+    assert modules_loaded_by("import fatrec") == ["fatrec"]
+
+
+def test_suite_names_load_no_suite_module():
+    code = "import fatrec.cli\nassert 'oracle' in fatrec.cli.SUITE_NAMES"
+    assert modules_loaded_by(code) == BASE_MODULES
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["correlator", "--g", "1", "--mu", "6"], []),
+    (["enumerate", "--mu", "4,4"], ["dataclasses", "fatrec.graphsum", "fatrec.ribbon"]),
+])
+def test_run_loads_only_its_modules(tmp_path, argv, extra):
+    argv = argv + ["--cache-path", str(tmp_path / "c.json")]
+    code = ("import contextlib, io\nfrom fatrec import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0")
+    assert modules_loaded_by(code) == sorted(BASE_MODULES + extra)

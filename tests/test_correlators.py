@@ -1,6 +1,7 @@
 """Production correlators, free energies, partition function, cache."""
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -182,7 +183,8 @@ def test_cache_paranoid_detects_poison(tmp_path):
     cache = CorrelatorCache(None, paranoid=True)
     correlator(0, (4,), cache)
     assert correlator(0, (4,), cache) == tp(3, Fraction(1, 2))
-    cache.table[(0, (4,))] = tp(3, Fraction(9, 7))
+    assert cache.table[(0, (4,))] == 2
+    cache.table[(0, (4,))] = 3  # C_0(4) = 4 * 1/2 = 2
     with pytest.raises(AssertionError, match="cache mismatch"):
         correlator(0, (4,), cache)
 
@@ -207,6 +209,15 @@ def test_cache_load_rejects_non_integral_coeff(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"version":1,"entries":'
                     '[{"coeff":"1/3","g":0,"mu":[4],"t_power":3}]}')
+    with pytest.raises(CacheError, match="malformed cache entry"):
+        CorrelatorCache(str(path)).load()
+
+
+def test_cache_load_rejects_negative_t_power(tmp_path):
+    # the selection rule gives t^-2 at g = 2, mu = (2,); no correlator has it
+    path = tmp_path / "bad.json"
+    path.write_text('{"version":1,"entries":'
+                    '[{"coeff":"1/2","g":2,"mu":[2],"t_power":-2}]}')
     with pytest.raises(CacheError, match="malformed cache entry"):
         CorrelatorCache(str(path)).load()
 
@@ -311,3 +322,46 @@ def test_cold_cache_golden(g, mu, entries, digest):
     correlator(g, mu, cache)
     assert len(cache.table) == entries
     assert hashlib.sha256(cache.serialize().encode()).hexdigest() == digest
+
+
+def test_table_holds_gluing_counts():
+    cache = CorrelatorCache()
+    for g, mu in [(0, (4,)), (1, (6,)), (2, (8, 4)), (1, (5, 3, 2)), (0, (3,))]:
+        count = core.gluing_count(g, mu, cache)
+        value = correlator(g, mu, cache)
+        assert type(count) is int
+        assert value == (TPoly.zero() if not count else
+                         tp(core._t_power(g, mu), Fraction(count, math.prod(mu))))
+    assert all(type(v) is int for v in cache.table.values())
+    assert core.gluing_count(-1, (4,), cache) == 0
+    assert core.gluing_count(0, (3, 2), cache) == 0
+    with pytest.raises(ValueError):
+        core.gluing_count(0, (0, 2), cache)
+
+
+def test_cache_load_accepts_non_canonical_coeffs(tmp_path):
+    cache = CorrelatorCache()
+    correlator(2, (8, 4), cache)
+    canonical = tmp_path / "canonical.json"
+    canonical.write_text(cache.serialize())
+    entries = json.loads(cache.serialize())["entries"]
+    decimals = 0
+    for i, entry in enumerate(entries):
+        value = Fraction(entry["coeff"])
+        p, q = value.numerator, value.denominator
+        if value == 0:
+            entry["coeff"] = ("0", "-0", "0/7", " 0")[i % 4]
+        elif 10 ** 6 % q == 0 and i % 2:
+            digits = str(p * 10 ** 6 // q).rjust(7, "0")
+            entry["coeff"] = f"{digits[:-6]}.{digits[-6:]}"  # e.g. "0.500000"
+            decimals += 1
+        else:
+            entry["coeff"] = (f"{2 * p}/{2 * q}", f" {p}/{q}", f"{p}/{q} ")[i % 3]
+    assert decimals >= 5
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps({"version": 1, "entries": entries}))
+    a, b = CorrelatorCache(str(canonical)), CorrelatorCache(str(loose))
+    a.load()
+    b.load()
+    assert a.table == b.table == cache.table
+    assert b.serialize() == cache.serialize()
