@@ -26,10 +26,10 @@ import json
 import os
 import re
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, gcd, prod
 from typing import Iterable
 
-from .exact import CouplingMonomial, CouplingSeries, Rat, TPoly, series_exp
+from .exact import CouplingSeries, TPoly, series_exp
 
 CACHE_ENV = "FATREC_CACHE"
 DEFAULT_CACHE_PATH = "./fatrec-cache.json"
@@ -114,20 +114,52 @@ class CorrelatorCache:
             return
         payload = self.serialize()
         lock = self.path + ".lock"
-        fd = None
+        fd = _acquire(lock)
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.write(fd, str(os.getpid()).encode("ascii"))
             tmp = self.path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(payload)
             os.replace(tmp, self.path)
             self.stored = len(self.table)
-        except FileExistsError:
-            raise CacheError(f"cache is locked: {lock}")
         finally:
-            if fd is not None:
-                os.close(fd)
+            os.close(fd)
+            os.unlink(lock)
+
+
+def _acquire(lock: str) -> int:
+    """Create ``lock`` exclusively; the caller writes its PID into it.
+
+    A lock whose PID no longer exists was left by a killed run: it is
+    unlinked and the create is tried once more.  A lock of a live process,
+    or one whose holder has not written its PID yet, raises CacheError.
+    """
+    for retry in (False, True):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            if retry or not _holder_is_dead(lock):
+                raise CacheError(f"cache is locked: {lock}") from None
+            try:
                 os.unlink(lock)
+            except FileNotFoundError:
+                pass
+        else:
+            return fd
+
+
+def _holder_is_dead(lock: str) -> bool:
+    """True when ``lock`` is gone or names a PID that no longer exists."""
+    try:
+        with open(lock, encoding="ascii") as fh:
+            pid = int(fh.read())
+        if pid > 0:
+            os.kill(pid, 0)
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    except (OSError, ValueError):  # unreadable, no PID yet, or another user's process
+        pass
+    return False
 
 
 _session_cache = CorrelatorCache()
@@ -333,25 +365,20 @@ def _partitions(total: int, max_parts: int):
     yield from rec(total, total, ())
 
 
-def _symmetry(mu: tuple[int, ...]) -> int:
-    """prod_k m_k!, m_k the multiplicity of k in mu: the ordered tuples per multiset."""
-    return prod(factorial(mu.count(k)) for k in set(mu))
-
-
 def free_energy(g: int, max_weight: int, cache: CorrelatorCache | None = None) -> CouplingSeries:
     """Genus-g free energy: sum over unordered mu of F_g^mu g_mu / sym.
 
     The 1/n! over ordered tuples collapses to 1/prod(multiplicities!) per
-    multiset; truncated at total coupling weight ``max_weight``.
+    multiset, so the labelled coefficient of g_mu is C_g(mu) itself, read
+    from the cache table; truncated at total coupling weight ``max_weight``.
     """
-    terms: dict[CouplingMonomial, Rat] = {}
+    terms = {}
     for w in range(2, max_weight + 1, 2):
         for mu in _partitions(w, w):
             value = gluing_count(g, mu, cache)
             if value:
-                mono = CouplingMonomial(mu, _t_power(g, mu), 0)
-                terms[mono] = Fraction(value, prod(mu) * _symmetry(mu))
-    return CouplingSeries(terms, max_weight)
+                terms[(mu[::-1], _t_power(g, mu), 0)] = value
+    return CouplingSeries._of(terms, max_weight)
 
 
 def genus_range(max_weight: int) -> range:
@@ -365,14 +392,11 @@ def genus_range(max_weight: int) -> range:
 
 def full_free_energy(max_weight: int, cache: CorrelatorCache | None = None) -> CouplingSeries:
     """Sum over genus of gs^(2g-2) * free_energy(g)."""
-    total = CouplingSeries.zero(max_weight)
+    terms = {}
     for g in genus_range(max_weight):
-        fg = free_energy(g, max_weight, cache)
-        shifted = CouplingSeries(
-            {m.shift(gs_power=2 * g - 2): c for m, c in fg.terms.items()},
-            max_weight)
-        total = total + shifted
-    return total
+        for (ks, t, _), v in free_energy(g, max_weight, cache)._a.items():
+            terms[(ks, t, 2 * g - 2)] = v
+    return CouplingSeries._of(terms, max_weight)
 
 
 def partition_function(max_weight: int, cache: CorrelatorCache | None = None) -> CouplingSeries:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import prod
 
-from .correlators import (CorrelatorCache, _partitions, _symmetry, _t_power,
+from .correlators import (CorrelatorCache, _partitions, _t_power,
                           gluing_count)
-from .exact import TPoly, rat_str
+from .exact import TPoly, _norm, rat_str
 from .virasoro import SuiteReport
 from .xseries import XSeries, xseries_diag, xseries_invert
 
@@ -204,7 +203,7 @@ def _s_gn(g: int, n: int, max_mu_weight: int, cache: CorrelatorCache | None,
         if w % 2:
             continue
         parts = _partitions_exact(w, n)
-        total = sum(Fraction(gluing_count(g, part, cache), prod(part) * _symmetry(part))
+        total = sum(Fraction(gluing_count(g, part, cache), _norm(part))
                     for part in parts)
         if total and not zeroed:
             # all n-part mu of size w share one t-power

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .correlators import CorrelatorCache, correlator, free_energy
-from .exact import (CouplingMonomial, CouplingSeries, Rat, TPoly, rat_str)
+from .exact import (CouplingMonomial, CouplingSeries, TPoly, _drop, _insert, _summed,
+                    rat_str)
 
 
 class LinearOp:
@@ -30,31 +31,41 @@ class LinearOp:
         return self._fn(f)
 
 
-def _emit(out: dict[CouplingMonomial, Rat], m: CouplingMonomial, c: Rat):
-    s = out.get(m, Fraction(0)) + c
-    if s:
-        out[m] = s
-    else:
-        out.pop(m, None)
+def _L_terms(m: int, a: dict, top: int | None, prime: bool = False):
+    """Yield the (couplings, t, gs, A) terms of L_m on labelled coefficients a.
 
-
-def _d(monomial: CouplingMonomial, k: int) -> tuple[CouplingMonomial, int] | None:
-    mult = monomial.multiplicity(k)
-    if not mult:
-        return None
-    return monomial.without_one(k), mult
-
-
-def _dd(monomial: CouplingMonomial, k: int, l: int):
-    first = _d(monomial, l)
-    if first is None:
-        return None
-    m1, c1 = first
-    second = _d(m1, k)
-    if second is None:
-        return None
-    m2, c2 = second
-    return m2, c1 * c2
+    L_m = sum_{j > m} j g_{j-m} d_j - (m+2) d_{m+2}
+          + gs^2 sum_{k=1}^{m-1} k (m-k) d_k d_{m-k} + 2m t d_m
+          + [m = -1] t g_1 gs^-2 + [m = 0] t^2 gs^-2.
+    In the labelled basis every coefficient is an integer multiple of its
+    source's.  No term of weight above ``top`` (None: no bound) is built.
+    With ``prime`` it is L'_m at gs = 1: no -(m+2) d_{m+2}, no gs shifts.
+    """
+    gs2 = 0 if prime else 2
+    for (ks, t, s), v in a.items():
+        w = sum(ks)
+        if w < m:
+            continue
+        if not prime and m + 2 in ks and (top is None or w - m - 2 <= top):
+            yield _drop(ks, m + 2), t, s, -v
+        if top is not None and w - m > top:
+            continue
+        for j in set(ks):
+            if j > m:
+                up, n = _insert(_drop(ks, j), j - m)
+                yield up, t, s, v * (j - m) * n
+        for k in range(1, m // 2 + 1):
+            if k in ks:
+                rest = _drop(ks, k)
+                if m - k in rest:
+                    yield _drop(rest, m - k), t, s + gs2, v if 2 * k == m else 2 * v
+        if m > 0 and m in ks:
+            yield _drop(ks, m), t + 1, s, 2 * v
+        elif m == -1:
+            up, n = _insert(ks, 1)
+            yield up, t + 1, s - gs2, v * n
+        elif m == 0:
+            yield ks, t + 2, s - gs2, v
 
 
 def apply_L(m: int, f: CouplingSeries) -> CouplingSeries:
@@ -66,49 +77,7 @@ def apply_L(m: int, f: CouplingSeries) -> CouplingSeries:
     """
     if m < -1:
         raise ValueError("m must be >= -1")
-    out: dict[CouplingMonomial, Rat] = {}
-    for mono, c in f.terms.items():
-        if m == -1:
-            d1 = _d(mono, 1)
-            if d1:
-                _emit(out, d1[0], -c * d1[1])
-            for k in set(mono.couplings):
-                dk = _d(mono, k)
-                _emit(out, dk[0].times_g(k + 1), c * k * dk[1])
-            _emit(out, mono.times_g(1).shift(t_power=1, gs_power=-2), c)
-        elif m == 0:
-            d2 = _d(mono, 2)
-            if d2:
-                _emit(out, d2[0], -2 * c * d2[1])
-            if mono.weight:
-                _emit(out, mono, c * mono.weight)
-            _emit(out, mono.shift(t_power=2, gs_power=-2), c)
-        elif m == 1:
-            d3 = _d(mono, 3)
-            if d3:
-                _emit(out, d3[0], -3 * c * d3[1])
-            for k in set(mono.couplings):
-                if k >= 2:
-                    dk = _d(mono, k)
-                    _emit(out, dk[0].times_g(k - 1), c * k * dk[1])
-            d1 = _d(mono, 1)
-            if d1:
-                _emit(out, d1[0].shift(t_power=1), 2 * c * d1[1])
-        else:
-            for j in set(mono.couplings):
-                if j >= m + 1:
-                    dj = _d(mono, j)
-                    _emit(out, dj[0].times_g(j - m), c * j * dj[1])
-                    if j - m == 2:
-                        _emit(out, dj[0], -c * j * dj[1])
-            for k in range(1, m):
-                dd = _dd(mono, k, m - k)
-                if dd:
-                    _emit(out, dd[0].shift(gs_power=2), c * k * (m - k) * dd[1])
-            dm = _d(mono, m)
-            if dm:
-                _emit(out, dm[0].shift(t_power=1), 2 * m * c * dm[1])
-    return CouplingSeries(out, f.trunc)
+    return CouplingSeries._of(_summed(_L_terms(m, f._a, f.trunc)), f.trunc)
 
 
 def L_op(m: int) -> LinearOp:
@@ -154,12 +123,10 @@ def verify_virasoro(m_max: int, max_weight: int,
     violations = []
     checks = []
     for m in range(-1, m_max + 1):
-        lz = apply_L(m, z)
         bound = reliable_weight(max_weight, m)
-        bad = []
-        for mono, c in sorted(lz.terms.items(), key=lambda kv: kv[0].sort_key()):
-            if mono.weight <= bound:
-                bad.append({"m": m, "monomial": str(mono), "coeff": rat_str(c)})
+        lz = CouplingSeries._of(_summed(_L_terms(m, z._a, bound)), bound)
+        bad = [{"m": m, "monomial": str(mono), "coeff": rat_str(c)}
+               for mono, c in sorted(lz.terms.items(), key=lambda kv: kv[0].sort_key())]
         violations.extend(bad)
         checks.append({"suite": "virasoro", "m": m, "D": max_weight,
                        "status": "pass" if not bad else "fail",
@@ -203,22 +170,19 @@ def boson(n: int) -> MarkedOp:
         k = -n
 
         def create(f: CouplingSeries) -> CouplingSeries:
-            out: dict[CouplingMonomial, Rat] = {}
-            for mono, c in f.terms.items():
-                _emit(out, mono.times_g(k).shift(gs_power=-1), c)
-                if k == 2:
-                    _emit(out, mono.shift(gs_power=-1), -c)
-            return CouplingSeries(out, f.trunc)
+            def terms():
+                for (ks, t, s), v in f._a.items():
+                    up, mult = _insert(ks, k)
+                    yield up, t, s - 1, v * k * mult
+                    if k == 2:
+                        yield ks, t, s - 1, -v
+            return CouplingSeries._of(_summed(terms(), f.trunc), f.trunc)
 
         return MarkedOp(create, -1)
 
     def annihilate(f: CouplingSeries) -> CouplingSeries:
-        out: dict[CouplingMonomial, Rat] = {}
-        for mono, c in f.terms.items():
-            dn = _d(mono, n)
-            if dn:
-                _emit(out, dn[0].shift(gs_power=1), c * n * dn[1])
-        return CouplingSeries(out, f.trunc)
+        shifted = {(_drop(ks, n), t, s + 1): v for (ks, t, s), v in f._a.items() if n in ks}
+        return CouplingSeries._of(shifted, f.trunc)
 
     return MarkedOp(annihilate, 1)
 

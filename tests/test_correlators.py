@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,8 +14,10 @@ import fatrec.correlators as core
 from fatrec.correlators import (CacheError, CorrelatorCache, correlator,
                                 free_energy, full_free_energy,
                                 partition_function)
+from fatrec.cutjoin import exp_M_vacuum
 from fatrec.exact import CouplingMonomial, TPoly
 from fatrec.graphsum import oracle_correlator
+from fatrec.virasoro import verify_virasoro
 
 
 def catalan(m):
@@ -197,6 +202,38 @@ def test_cache_lock_collision(tmp_path):
         cache.save()
 
 
+def test_cache_lock_of_a_live_process_holds(tmp_path):
+    path = tmp_path / "c.json"
+    lock = tmp_path / "c.json.lock"
+    lock.write_text(str(os.getpid()))
+    cache = CorrelatorCache(str(path))
+    correlator(0, (4,), cache)
+    with pytest.raises(CacheError, match="cache is locked"):
+        cache.save()
+    assert lock.read_text() == str(os.getpid())
+    assert not path.exists()
+
+
+def test_cache_lock_of_a_dead_process_is_broken(tmp_path, monkeypatch):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its PID no longer exists
+    path = tmp_path / "c.json"
+    lock = tmp_path / "c.json.lock"
+    lock.write_text(str(child.pid))
+    cache = CorrelatorCache(str(path))
+    correlator(0, (4, 2), cache)
+    held = []
+    replace = os.replace
+    monkeypatch.setattr(core.os, "replace",
+                        lambda src, dst: (held.append(lock.read_text()), replace(src, dst)))
+    cache.save()
+    assert held == [str(os.getpid())]  # the save held a lock naming this process
+    assert not lock.exists()
+    loaded = CorrelatorCache(str(path))
+    loaded.load()
+    assert loaded.table == cache.table
+
+
 def test_cache_load_rejects_selection_rule_violation(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"version":1,"entries":'
@@ -365,3 +402,31 @@ def test_cache_load_accepts_non_canonical_coeffs(tmp_path):
     b.load()
     assert a.table == b.table == cache.table
     assert b.serialize() == cache.serialize()
+
+
+def test_series_hold_integer_labelled_coefficients():
+    cache = CorrelatorCache()
+    for series in (partition_function(12, cache), full_free_energy(12, cache),
+                   exp_M_vacuum(12)):
+        assert series._a and all(type(v) is int for v in series._a.values())
+
+
+@pytest.mark.parametrize("g", range(4))
+def test_free_energy_labelled_coefficients_are_the_table_cells(g):
+    cache = CorrelatorCache()
+    fg = free_energy(g, 12, cache)
+    cells = {(mu[::-1], core._t_power(g, mu), 0): v
+             for (h, mu), v in cache.table.items() if h == g and v and sum(mu) <= 12}
+    assert cells and fg._a == cells
+
+
+@pytest.mark.parametrize("render, digest", [
+    (lambda: str(partition_function(12)),
+     "6689152b96741697b1704ccd27206baec1813eff7b188246ce4e2170180ea1f3"),
+    (lambda: str(exp_M_vacuum(12)),
+     "04b7a8ebd6020ca0eb3bc5da1cf58e7a7cbeb55ab3b8f8bd418ffb7683cd947b"),
+    (lambda: json.dumps(verify_virasoro(4, 12).to_dict()),
+     "8e4f022edf4d5a1f9a3cbe21bea522dd9e86a421b56a3e28df6759d99ee63a20"),
+], ids=["partition_function", "exp_M_vacuum", "verify_virasoro"])
+def test_series_golden(render, digest):
+    assert hashlib.sha256(render().encode()).hexdigest() == digest

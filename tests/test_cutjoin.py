@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from fatrec.correlators import partition_function
-from fatrec.cutjoin import _apply_Lprime, apply_M, exp_M_vacuum, m_power_vacuum
-from fatrec.exact import CouplingMonomial, CouplingSeries
+from fatrec.cutjoin import apply_M, exp_M_vacuum, m_power_vacuum
+from fatrec.exact import CouplingMonomial, CouplingSeries, Rat
 
 
 def mono(couplings=(), t=0):
@@ -62,6 +62,65 @@ def test_edge_strata_match_exponential():
 def test_cut_and_join_theorem_desk_scale():
     for d in range(0, 5):
         assert exp_M_vacuum(d) == partition_function(d).set_gs_one(), d
+
+
+# The plain-coefficient L'_m that apply_M was built on before it moved onto
+# the labelled kernel of apply_L; kept here, with its helpers, as the reference.
+
+def _emit(out: dict[CouplingMonomial, Rat], m: CouplingMonomial, c: Rat):
+    s = out.get(m, Fraction(0)) + c
+    if s:
+        out[m] = s
+    else:
+        out.pop(m, None)
+
+
+def _d(monomial: CouplingMonomial, k: int) -> tuple[CouplingMonomial, int] | None:
+    mult = monomial.multiplicity(k)
+    if not mult:
+        return None
+    return monomial.without_one(k), mult
+
+
+def _apply_Lprime(m: int, mono: CouplingMonomial, c: Rat,
+                  out: dict[CouplingMonomial, Rat]) -> None:
+    """Accumulate c * L'_m(mono); L'_m has no -(m+2) d_{m+2} term and gs=1."""
+    if m == -1:
+        for k in set(mono.couplings):
+            dk = _d(mono, k)
+            _emit(out, dk[0].times_g(k + 1), c * k * dk[1])
+        _emit(out, mono.times_g(1).shift(t_power=1), c)
+    elif m == 0:
+        if mono.weight:
+            _emit(out, mono, c * mono.weight)
+        _emit(out, mono.shift(t_power=2), c)
+    elif m == 1:
+        for k in set(mono.couplings):
+            if k >= 2:
+                dk = _d(mono, k)
+                _emit(out, dk[0].times_g(k - 1), c * k * dk[1])
+        d1 = _d(mono, 1)
+        if d1:
+            _emit(out, d1[0].shift(t_power=1), 2 * c * d1[1])
+    else:
+        for j in set(mono.couplings):
+            if j >= m + 1:
+                dj = _d(mono, j)
+                _emit(out, dj[0].times_g(j - m), c * j * dj[1])
+        for k in range(1, m):
+            l = m - k
+            first = _d(mono, l)
+            if first is None:
+                continue
+            m1, c1 = first
+            second = _d(m1, k)
+            if second is None:
+                continue
+            m2, c2 = second
+            _emit(out, m2, c * k * l * c1 * c2)
+        dm = _d(mono, m)
+        if dm:
+            _emit(out, dm[0].shift(t_power=1), 2 * m * c * dm[1])
 
 
 def _apply_M_reference(f):

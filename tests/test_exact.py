@@ -181,3 +181,36 @@ def test_monomial_weight_is_read_only():
     assert m.weight == 5
     with pytest.raises(AttributeError):
         m.weight = 4
+
+
+def test_monomial_rejects_bad_parts():
+    for couplings in [(2, 0), (-1,), (0,)]:
+        with pytest.raises(ValueError, match="positive"):
+            CouplingMonomial(couplings)
+    with pytest.raises(ValueError, match="negative t power"):
+        CouplingMonomial((2,), -1)
+
+
+def test_derived_monomials_equal_validated_ones():
+    m = mono((3, 1, 3), t=2, gs=-2)
+    for derived, expected in [(m.without_one(3), mono((1, 3), 2, -2)),
+                              (m.without_one(1), mono((3, 3), 2, -2)),
+                              (m.times_g(2), mono((1, 2, 3, 3), 2, -2)),
+                              (m.times_g(4), mono((1, 3, 3, 4), 2, -2)),
+                              (m.shift(1, 2), mono((1, 3, 3), 3, 0)),
+                              (m * mono((2, 1), 1, 1), mono((1, 1, 2, 3, 3), 3, -1))]:
+        assert derived == expected
+        assert (derived.couplings, derived.weight) == (expected.couplings, expected.weight)
+
+
+def test_labelled_coefficients_round_trip_at_the_boundary():
+    # A = c * prod_k m_k! k^{m_k}; .terms and .coeff give c back
+    s = CouplingSeries({mono((2, 2, 1), t=1): Fraction(3, 5), mono((3,)): 2,
+                        mono((), gs=-2): Fraction(1, 2)}, trunc=6)
+    assert s._a == {((1, 2, 2), 1, 0): Fraction(24, 5), ((3,), 0, 0): 6,
+                    ((), 0, -2): Fraction(1, 2)}
+    assert s.terms == {mono((1, 2, 2), t=1): Fraction(3, 5), mono((3,)): 2,
+                       mono((), gs=-2): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in s.terms.values())
+    assert s.coeff(mono((2, 1, 2), t=1)) == Fraction(3, 5)
+    assert s.coeff(mono((4,))) == 0

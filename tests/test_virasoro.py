@@ -1,12 +1,14 @@
 """Virasoro operators, commutators, bosons, and the genus-zero curve checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from fatrec.correlators import partition_function
 from fatrec.exact import CouplingMonomial, CouplingSeries
-from fatrec.virasoro import (apply_L, boson, commutator_check, heisenberg_check,
+from fatrec.exact import _summed
+from fatrec.virasoro import (_L_terms, apply_L, boson, commutator_check, heisenberg_check,
                              marked_product_factor, reliable_weight,
                              spectral_curve_check, verify_virasoro,
                              y_squared_negative_part,
@@ -134,3 +136,51 @@ def test_virasoro_report_per_m_records():
     d = report.to_dict()
     assert {"suite": "virasoro", "m": 0, "D": 4, "status": "pass",
             "violations": []} in d["checks"]
+
+
+def _L_reference(m, f):
+    """L_m assembled from d_g and series products, term by term."""
+    def g(ks=(), t=0, gs=0, c=1):
+        return CouplingSeries.monomial(mono(ks, t, gs), c)
+
+    top = max((mm.weight for mm in f.terms), default=0)
+    out = CouplingSeries.zero(f.trunc)
+    for j in range(max(1, m + 1), top + 1):
+        out = out + f.d_g(j) * g((j - m,), c=j)
+    out = out - f.d_g(m + 2) * g(c=m + 2)
+    for k in range(1, m):
+        out = out + f.d_g(m - k).d_g(k) * g(gs=2, c=k * (m - k))
+    if m >= 1:
+        out = out + f.d_g(m) * g(t=1, c=2 * m)
+    if m == -1:
+        out = out + f * g((1,), t=1, gs=-2)
+    if m == 0:
+        out = out + f * g(t=2, gs=-2)
+    return out
+
+
+@pytest.mark.parametrize("trunc", [None, 6, 9])
+def test_apply_L_matches_reference(trunc):
+    rng = random.Random(700 + (trunc or 0))
+    for _ in range(15):
+        terms = {}
+        for _ in range(5):
+            parts = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 3)))
+            terms[mono(parts, rng.randint(0, 2), rng.randint(-2, 0))] = (
+                Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        f = CouplingSeries(terms, trunc)
+        for m in range(-1, 6):
+            assert apply_L(m, f) == _L_reference(m, f), (m, f)
+
+
+def test_band_kernel_builds_nothing_above_the_band():
+    z = partition_function(10) + CouplingSeries(
+        {mono((2,), 1): 1, mono((1, 3), 2, -2): Fraction(1, 3), mono((4, 2)): -2}, 10)
+    for m in range(-1, 5):
+        bound = reliable_weight(10, m)
+        terms = list(_L_terms(m, z._a, bound))
+        assert all(sum(ks) <= bound for ks, _, _, _ in terms)
+        assert _summed(terms) == _summed((*key, v) for key, v in apply_L(m, z)._a.items()
+                                         if sum(key[0]) <= bound)
+        if bound >= 2:
+            assert _summed(terms), m
