@@ -197,7 +197,16 @@ def gluing_count(g: int, mu, cache: CorrelatorCache | None = None) -> int:
         raise ValueError("valences must be positive (or the single (0))")
     if sum(mu) % 2:
         return 0
-    key = (g, _desc(mu))
+    return _cell(g, _desc(mu), cache)
+
+
+def _cell(g: int, mu: tuple[int, ...], cache: CorrelatorCache) -> int:
+    """C_g(mu) of a valid key: g >= 0, mu positive and descending, |mu| even.
+
+    A miss derives the cell; with ``cache.paranoid`` a hit is re-derived from
+    its children and must agree.
+    """
+    key = (g, mu)
     hit = cache.table.get(key)
     if hit is None:
         return _derive(key, cache.table)
@@ -352,17 +361,37 @@ def connected_correlator(g: int, mu, cache: CorrelatorCache | None = None) -> TP
     return Fraction(prod(mu)) * correlator(g, mu, cache)
 
 
-def _partitions(total: int, max_parts: int):
-    """Partitions of ``total`` into at most ``max_parts`` parts, descending."""
+def _partitions(total: int, max_parts: int, exact: bool = False):
+    """Partitions of ``total`` into at most ``max_parts`` parts, descending;
+    with ``exact``, into exactly ``max_parts`` parts.
 
-    def rec(remaining, maximum, prefix):
-        if remaining == 0:
-            yield prefix
-        elif len(prefix) < max_parts:
-            for part in range(min(remaining, maximum), 0, -1):
-                yield from rec(remaining - part, part, prefix + (part,))
+    Largest first part first, walked on an explicit stack; a next part p is
+    tried only when the rest fits, remaining <= p * (parts left).
+    """
+    stack = [(total, total, ())]
+    while stack:
+        remaining, largest, prefix = stack.pop()
+        left = max_parts - len(prefix)
+        if not remaining:
+            if not (exact and left):
+                yield prefix
+        elif left > 0:
+            top = min(largest, remaining - left + 1 if exact else remaining)
+            for part in range(-(-remaining // left), top + 1):
+                stack.append((remaining - part, part, prefix + (part,)))
 
-    yield from rec(total, total, ())
+
+def _labelled_cells(genera, max_weight: int, cache: CorrelatorCache | None):
+    """(g, mu, C_g(mu)) for every nonzero cell with g in ``genera`` and
+    |mu| <= max_weight, walking the partitions once."""
+    if cache is None:
+        cache = _session_cache
+    for w in range(2, max_weight + 1, 2):
+        for mu in _partitions(w, w):
+            for g in genera:
+                value = _cell(g, mu, cache)
+                if value:
+                    yield g, mu, value
 
 
 def free_energy(g: int, max_weight: int, cache: CorrelatorCache | None = None) -> CouplingSeries:
@@ -372,13 +401,10 @@ def free_energy(g: int, max_weight: int, cache: CorrelatorCache | None = None) -
     multiset, so the labelled coefficient of g_mu is C_g(mu) itself, read
     from the cache table; truncated at total coupling weight ``max_weight``.
     """
-    terms = {}
-    for w in range(2, max_weight + 1, 2):
-        for mu in _partitions(w, w):
-            value = gluing_count(g, mu, cache)
-            if value:
-                terms[(mu[::-1], _t_power(g, mu), 0)] = value
-    return CouplingSeries._of(terms, max_weight)
+    genera = (g,) if g >= 0 else ()
+    return CouplingSeries._of({(mu[::-1], _t_power(h, mu), 0): value
+                               for h, mu, value in _labelled_cells(genera, max_weight, cache)},
+                              max_weight)
 
 
 def genus_range(max_weight: int) -> range:
@@ -392,11 +418,10 @@ def genus_range(max_weight: int) -> range:
 
 def full_free_energy(max_weight: int, cache: CorrelatorCache | None = None) -> CouplingSeries:
     """Sum over genus of gs^(2g-2) * free_energy(g)."""
-    terms = {}
-    for g in genus_range(max_weight):
-        for (ks, t, _), v in free_energy(g, max_weight, cache)._a.items():
-            terms[(ks, t, 2 * g - 2)] = v
-    return CouplingSeries._of(terms, max_weight)
+    genera = genus_range(max_weight)
+    return CouplingSeries._of({(mu[::-1], _t_power(g, mu), 2 * g - 2): value
+                               for g, mu, value in _labelled_cells(genera, max_weight, cache)},
+                              max_weight)
 
 
 def partition_function(max_weight: int, cache: CorrelatorCache | None = None) -> CouplingSeries:

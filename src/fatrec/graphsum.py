@@ -462,8 +462,10 @@ def recursion_rhs(g: int, mu) -> GraphSum:
         if m0 > 0:
             rhs = rhs + enumerate_graphs(g, new_mu).scale(m0)
         elif m0 == 0 and n == 2 and g == 0:
-            # Contracting the dumbbell leaves the single valence-0 vertex;
-            # the displayed coefficient would kill it (see decisions ledger).
+            # Contracting the dumbbell leaves the single valence-0 vertex.
+            # The displayed coefficient m0 is 0 here and would drop it, yet
+            # the dumbbell is one graph with one face, so F_0^(1,1) = t needs
+            # this term with coefficient 1.
             rhs = rhs + GraphSum.single(dot_graph(1))
 
     rest_indices = list(range(2, n + 1))

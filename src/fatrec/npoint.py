@@ -11,17 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
-from .correlators import (CorrelatorCache, _partitions, _t_power,
-                          gluing_count)
+from .correlators import (CorrelatorCache, _cell, _partitions, _session_cache,
+                          _t_power)
 from .exact import TPoly, _norm, rat_str
 from .virasoro import SuiteReport
-from .xseries import XSeries, xseries_diag, xseries_invert
-
-
-def _partitions_exact(total: int, parts: int):
-    """Partitions of ``total`` into exactly ``parts`` positive parts, descending."""
-    return [mu for mu in _partitions(total, parts) if len(mu) == parts]
+from .xseries import XSeries, _accumulate, _nonzero, xseries_diag, xseries_invert
 
 
 def _xvars(n: int) -> tuple[str, ...]:
@@ -33,37 +29,28 @@ def w_from_correlators(g: int, n: int, max_mu_weight: int,
     """W_{g,n} assembled termwise from correlators, |mu| <= max_mu_weight."""
     if n < 1 or g < 0:
         raise ValueError("invalid key")
-    variables = _xvars(n)
-    terms: dict[tuple[int, ...], TPoly] = {}
-    if g == 0 and n == 1:
-        terms[(-1,)] = TPoly.t_power(1)
+    cache = _session_cache if cache is None else cache
+    terms = {(-1, 1): 1} if (g, n) == (0, 1) else {}
     for w in range(n, max_mu_weight + 1):
         if w % 2:
             continue
-        for part in _partitions_exact(w, n):
-            count = gluing_count(g, part, cache)
+        for part in _partitions(w, n, exact=True):  # valid keys: read the cells
+            count = _cell(g, part, cache)
             if not count:
                 continue
-            value = TPoly.t_power(_t_power(g, part), count)
+            t_power = _t_power(g, part)
             for mu in set(permutations(part)):
-                terms[tuple(-m - 1 for m in mu)] = value
-    return XSeries(variables, terms, None, None)
+                terms[(*(-m - 1 for m in mu), t_power)] = count
+    return XSeries._of(_xvars(n), terms)
 
 
 def _prune(f: XSeries, max_mu_weight: int) -> XSeries:
-    """Check that every term is a pure tail and keep those with |mu| <= bound.
-
-    The recursion's products are already truncated at |mu| <= bound, so the
-    weight filter drops nothing there; the result carries no truncation.
-    """
-    n = len(f.variables)
-    out = {}
-    for e, c in f.terms.items():
-        if any(x >= 0 for x in e):
-            raise AssertionError("n-point term is not a pure tail")
-        if -sum(e) - n <= max_mu_weight:
-            out[e] = c
-    return XSeries(f.variables, out, None, None)
+    """Check that every term is a pure tail and keep those with |mu| <= bound
+    (the recursion's products already stop there); the result has no trunc."""
+    if any(max(k[:-1]) >= 0 for k in f._c):
+        raise AssertionError("n-point term is not a pure tail")
+    bound = max_mu_weight + len(f.variables)
+    return XSeries._of(f.variables, {k: c for k, c in f._c.items() if k[-1] - sum(k) <= bound})
 
 
 def op_D(f: XSeries, target: str, max_inv_degree: int | None = None,
@@ -78,25 +65,18 @@ def op_D(f: XSeries, target: str, max_inv_degree: int | None = None,
     if target in f.variables:
         raise ValueError("target variable already present")
     i = f.variables.index(source)
-    variables = f.variables + (target,)
-    out: dict[tuple[int, ...], TPoly] = {}
-    for e, c in f.terms.items():
-        m = -e[i] - 1
+    out: dict = {}
+    for key, c in f._c.items():
+        m = -key[i] - 1
         if m < 0:
             raise ValueError("terms must be a tail in the source variable")
-        for k in range(m + 1):
-            l = m - k
-            new_e = list(e) + [-(l + 2)]
-            new_e[i] = -(k + 2)
-            if max_inv_degree is not None and -sum(new_e) > max_inv_degree:
-                continue
-            key = tuple(new_e)
-            s = out.get(key, TPoly.zero()) + c * Fraction(l + 1)
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return XSeries(variables, out, None, None)
+        # every image has inverse degree -sum(e) + 3
+        if max_inv_degree is not None and key[-1] - sum(key) + 3 > max_inv_degree:
+            continue
+        head, mid, t = key[:i], key[i + 1:-1], key[-1]
+        for l in range(m + 1):  # an image determines its term: no sums
+            out[(*head, l - m - 2, *mid, -(l + 2), t)] = c * (l + 1)
+    return XSeries._of(f.variables + (target,), _nonzero(out))
 
 
 def w01_closed(max_mu_weight: int, cache: CorrelatorCache | None = None,
@@ -121,41 +101,34 @@ class NPointRecursion:
         self.cache = cache
         self.cells: dict[tuple[int, int], XSeries] = {}
         w01 = w01_closed(self.k, cache)
-        denom = XSeries.one(("x1",)) - (
-            XSeries.term(("x1",), (-1,), TPoly.const(2)) * w01)
+        denom = XSeries.one(("x1",)) - XSeries.term(("x1",), (-1,), 2) * w01
         # the inverse tail itself is capped at depth K+2; it carries no trunc,
         # so its product with num takes num's bound, inverse degree K + n
         self.inv_denom = xseries_invert(denom, trunc=self.k + 2).with_trunc(None)
 
     def cell(self, g: int, n: int) -> XSeries:
+        if n < 1:
+            raise ValueError("invalid key")
         if g < 0:
             raise ValueError("negative genus")
         key = (g, n)
-        hit = self.cells.get(key)
-        if hit is not None:
-            return hit
-        if key == (0, 1):
-            value = w01_closed(self.k, self.cache)
-        else:
-            value = self._compute(g, n)
-        self.cells[key] = value
-        return value
+        if key not in self.cells:
+            self.cells[key] = (w01_closed(self.k, self.cache) if key == (0, 1)
+                               else self._compute(g, n))
+        return self.cells[key]
 
     def _compute(self, g: int, n: int) -> XSeries:
         variables = _xvars(n)
         bound = self.k + n
-        num = XSeries.zero(variables, bound)
+        num: dict = {}  # the numerator, cut at the bound as it is summed
         for j in range(2, n + 1):
-            sub = self.cell(g, n - 1)
             others = ["x1"] + [f"x{i}" for i in range(2, n + 1) if i != j]
-            sub = sub.rename({f"x{i + 1}": others[i] for i in range(n - 1)})
-            num = num + op_D(sub, f"x{j}", bound)
+            sub = self.cell(g, n - 1).rename({f"x{i + 1}": others[i] for i in range(n - 1)})
+            _accumulate(num, op_D(sub, f"x{j}", bound), variables)  # cut by op_D
         if g >= 1:
-            sub = self.cell(g - 1, n + 1)
-            names = {"x1": "u", "x2": "v"}
-            names.update({f"x{i}": f"x{i - 1}" for i in range(3, n + 2)})
-            sub = sub.rename(names)
-            num = num + xseries_diag(sub, "u", "v", "x1")
+            sub = self.cell(g - 1, n + 1).rename(
+                {"x1": "u", "x2": "v", **{f"x{i}": f"x{i - 1}" for i in range(3, n + 2)}})
+            _accumulate(num, xseries_diag(sub, "u", "v", "x1"), variables, bound)
         rest = list(range(2, n + 1))
         for bits in range(1 << len(rest)):
             subset = [rest[i] for i in range(len(rest)) if bits >> i & 1]
@@ -169,9 +142,9 @@ class NPointRecursion:
                 right = self.cell(g2, len(comp) + 1).rename(
                     {"x1": "v", **{f"x{i + 2}": f"x{v}" for i, v in enumerate(comp)}})
                 # the diagonal adds 1 to the inverse degree
-                num = num + xseries_diag(left.with_trunc(bound - 1) * right,
-                                         "u", "v", "x1")
-        w = self.inv_denom * num
+                _accumulate(num, xseries_diag(left.with_trunc(bound - 1) * right,
+                                              "u", "v", "x1"), variables, bound)
+        w = self.inv_denom * XSeries._of(variables, _nonzero(num), None, bound)
         return _prune(w.extend_vars(variables), self.k)
 
 
@@ -191,26 +164,25 @@ def _s_gn(g: int, n: int, max_mu_weight: int, cache: CorrelatorCache | None,
           zeroed: bool = False) -> XSeries:
     """S_{g,n}(x) = (1/n!) sum over ordered mu of F_g^mu x^-|mu|.
 
-    The ordered sum collapses to partitions weighted 1/prod(mult!).  The
-    (0,1) cell carries the log slot -t log x; its sign is pinned by the
-    m = 0 identity (see decisions ledger).
-    """
-    terms: dict[tuple[int, ...], TPoly] = {}
-    logc = None
-    if (g, n) == (0, 1) and not zeroed:
-        logc = {"x": TPoly.t_power(1, -1)}
+    The ordered sum collapses to partitions weighted 1/prod(mult!), summed over
+    one common denominator.  The (0,1) cell carries the log slot -t log x, so
+    x S_0' starts with -t and cancels the + t of the m = 0 identity
+    x S_0' + S_0'^2 + t = 0 at x^0; the sign + would leave 2t there."""
+    cache = _session_cache if cache is None else cache
+    terms = {}
+    logs = {("x", 1): -1} if (g, n) == (0, 1) and not zeroed else None
     for w in range(n, max_mu_weight + 1):
         if w % 2:
             continue
-        parts = _partitions_exact(w, n)
-        total = sum(Fraction(gluing_count(g, part, cache), _norm(part))
-                    for part in parts)
-        if total and not zeroed:
+        parts = list(_partitions(w, n, exact=True))
+        norms = [_norm(part) for part in parts]
+        den = lcm(*norms)
+        num = sum(_cell(g, part, cache) * (den // d)
+                  for part, d in zip(parts, norms))
+        if num and not zeroed:
             # all n-part mu of size w share one t-power
-            terms[(-w,)] = TPoly.t_power(_t_power(g, parts[0]), total)
-    if zeroed:
-        terms = {}
-    return XSeries(("x",), terms, logc, None)
+            terms[(-w, _t_power(g, parts[0]))] = Fraction(num, den)
+    return XSeries._of(("x",), _nonzero(terms), logs)
 
 
 def s_function(m: int, max_mu_weight: int,
@@ -218,12 +190,8 @@ def s_function(m: int, max_mu_weight: int,
     """S_m = sum over 2g - 1 + n = m of S_{g,n}."""
     if m < 0:
         raise ValueError("level must be >= 0")
-    out = XSeries.zero(("x",))
-    for g in range(0, (m + 1) // 2 + 1):
-        n = m + 1 - 2 * g
-        if n >= 1:
-            out = out + _s_gn(g, n, max_mu_weight, cache, zeroed)
-    return out
+    return sum((_s_gn(g, m + 1 - 2 * g, max_mu_weight, cache, zeroed)
+                for g in range(m // 2 + 1)), XSeries.zero(("x",)))
 
 
 def qsc_residual(m_max: int, max_order: int,
@@ -246,13 +214,12 @@ def qsc_residual(m_max: int, max_order: int,
     violations = []
 
     def record(tag: str, m: int, res: XSeries):
-        for e, c in sorted(res.terms.items()):
-            if e[0] >= -(max_order - 2) and not c.is_zero():
-                violations.append({"form": tag, "m": m, "x_power": e[0],
-                                   "coeff": str(c)})
+        for e in sorted({k[:-1] for k in res._c if k[0] >= -(max_order - 2)}):
+            violations.append({"form": tag, "m": m, "x_power": e[0],
+                               "coeff": str(res.coeff(e))})
 
     for m in range(m_max + 1):
-        res = XSeries.term(x_var, (1,), TPoly.const(1)) * ds[m]
+        res = XSeries.term(x_var, (1,), 1) * ds[m]
         if m >= 1:
             res = res + dds[m - 1]
         for i in range(m + 1):
@@ -262,26 +229,23 @@ def qsc_residual(m_max: int, max_order: int,
         record("unshifted", m, res)
 
     # Shifted form: S~_0 = S_0 + x^2/4; operator hbar^2 d^2 - x^2/4 + t - hbar/2.
-    half_x = XSeries.term(x_var, (1,), TPoly.const(Fraction(1, 2)))
-    ds_sh = [ds[m] + half_x if m == 0 else ds[m] for m in range(m_max + 1)]
-    dds_sh = [dds[m] + XSeries.term(x_var, (0,), TPoly.const(Fraction(1, 2)))
-              if m == 0 else dds[m] for m in range(m_max + 1)]
+    half = Fraction(1, 2)
+    half_x = XSeries.term(x_var, (1,), half)
+    ds_sh = [ds[0] + half_x, *ds[1:]]
+    dds_sh = [dds[0] + XSeries.term(x_var, (0,), half), *dds[1:]]
     notes = []
     for m in range(m_max + 1):
         if m == 0:
-            res = ds_sh[0] * ds_sh[0] \
-                - XSeries.term(x_var, (2,), TPoly.const(Fraction(1, 4))) + t_term
+            res = ds_sh[0] * ds_sh[0] - XSeries.term(x_var, (2,), half * half) + t_term
         else:
             res = dds_sh[m - 1]
             for i in range(m + 1):
                 res = res + ds_sh[i] * ds_sh[m - i]
             if m == 1:
-                uncorrected = res.coeff((0,))
-                notes.append(
-                    "displayed shifted equation leaves the constant "
-                    f"{uncorrected} at order hbar; corrected operator "
-                    "subtracts hbar/2")
-                res = res - XSeries.term(x_var, (0,), TPoly.const(Fraction(1, 2)))
+                notes.append("displayed shifted equation leaves the constant "
+                             f"{res.coeff((0,))} at order hbar; corrected operator "
+                             "subtracts hbar/2")
+                res = res - XSeries.term(x_var, (0,), half)
         record("shifted", m, res)
 
     status = "pass" if not violations else "fail"
@@ -291,10 +255,5 @@ def qsc_residual(m_max: int, max_order: int,
 
 def xseries_to_json_terms(f: XSeries) -> list[dict]:
     """Render tail terms as [{"exps": [...], "coeff": "p/q", "t_power": k}]."""
-    out = []
-    for e in sorted(f.terms):
-        poly = f.terms[e]
-        for t_power in sorted(poly.terms):
-            out.append({"exps": list(e), "coeff": rat_str(poly.terms[t_power]),
-                        "t_power": t_power})
-    return out
+    return [{"exps": list(k[:-1]), "coeff": rat_str(f._c[k]), "t_power": k[-1]}
+            for k in sorted(f._c)]

@@ -20,17 +20,17 @@ from .virasoro import (SuiteReport, commutator_check, heisenberg_check,
 
 
 def _compositions_of(total: int, max_parts: int):
-    def rec(remaining, prefix):
-        if remaining == 0:
+    """Ordered tuples of at most ``max_parts`` positive parts summing to
+    ``total``, smallest first part first; walked on an explicit stack."""
+    stack = [(total, ())]
+    while stack:
+        remaining, prefix = stack.pop()
+        if not remaining:
             if prefix:
                 yield prefix
-            return
-        if len(prefix) == max_parts:
-            return
-        for part in range(1, remaining + 1):
-            yield from rec(remaining - part, prefix + (part,))
-
-    yield from rec(total, ())
+        elif len(prefix) < max_parts:
+            stack.extend((remaining - part, prefix + (part,))
+                         for part in range(remaining, 0, -1))
 
 
 def abstract_recursion_suite(max_size: int = 8, max_parts: int = 3) -> SuiteReport:

@@ -159,6 +159,15 @@ def test_bad_valence_one_line_exit_2(workdir):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("route", ["recursion", "correlators"])
+def test_npoint_without_variables_one_line_exit_2(workdir, route):
+    r = run_cli(["npoint", "--g", "0", "--n", "0", "--max-weight", "7",
+                 "--route", route, "--no-cache"], workdir)
+    assert r.returncode == 2
+    assert r.stderr == "error: invalid key\n"
+    assert r.stdout == ""
+
+
 def test_deep_correlator_exits_0(workdir):
     r = run_cli(["correlator", "--g", "0", "--mu", "2000", "--no-cache"], workdir)
     assert r.returncode == 0, r.stderr

@@ -1,5 +1,6 @@
 """Production correlators, free energies, partition function, cache."""
 
+import gc
 import hashlib
 import json
 import math
@@ -11,12 +12,14 @@ from fractions import Fraction
 import pytest
 
 import fatrec.correlators as core
-from fatrec.correlators import (CacheError, CorrelatorCache, correlator,
-                                free_energy, full_free_energy,
-                                partition_function)
+from fatrec.cli import main
+from fatrec.correlators import (CacheError, CacheMismatch, CorrelatorCache,
+                                correlator, free_energy, full_free_energy,
+                                genus_range, partition_function)
 from fatrec.cutjoin import exp_M_vacuum
 from fatrec.exact import CouplingMonomial, TPoly
 from fatrec.graphsum import oracle_correlator
+from fatrec.suites import _compositions_of
 from fatrec.virasoro import verify_virasoro
 
 
@@ -361,6 +364,20 @@ def test_cold_cache_golden(g, mu, entries, digest):
     assert hashlib.sha256(cache.serialize().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("npoint --g 0 --n 4 --max-weight 10 --route recursion --format json",
+     "c72d5433c6ad7afea0c24685a04abf8f2fb812cf5668e5c65cd41ecd7d6ba9b8"),
+    ("npoint --g 2 --n 1 --max-weight 12 --route recursion",
+     "bea7a085687c1c07f04ed99797003dba6d4ab1b86af3ce82fcc41682054287e2"),
+    ("qsc --m-max 5 --max-weight 14 --format json",
+     "01a3e62a1a45546432ba6a3d354388c3cc6e96ea7b4cd1fd64653b9201c816c6"),
+], ids=["npoint_0_4_json", "npoint_2_1", "qsc_json"])
+def test_cli_npoint_golden(argv, digest, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv.split(), "--no-cache"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_table_holds_gluing_counts():
     cache = CorrelatorCache()
     for g, mu in [(0, (4,)), (1, (6,)), (2, (8, 4)), (1, (5, 3, 2)), (0, (3,))]:
@@ -430,3 +447,102 @@ def test_free_energy_labelled_coefficients_are_the_table_cells(g):
 ], ids=["partition_function", "exp_M_vacuum", "verify_virasoro"])
 def test_series_golden(render, digest):
     assert hashlib.sha256(render().encode()).hexdigest() == digest
+
+
+def _partitions_reference(total, max_parts):
+    """The recursive closure that ``_partitions`` replaced."""
+    def rec(remaining, maximum, prefix):
+        if remaining == 0:
+            yield prefix
+        elif len(prefix) < max_parts:
+            for part in range(min(remaining, maximum), 0, -1):
+                yield from rec(remaining - part, part, prefix + (part,))
+
+    yield from rec(total, total, ())
+
+
+def _compositions_reference(total, max_parts):
+    """The recursive closure that ``suites._compositions_of`` replaced."""
+    def rec(remaining, prefix):
+        if remaining == 0:
+            if prefix:
+                yield prefix
+            return
+        if len(prefix) == max_parts:
+            return
+        for part in range(1, remaining + 1):
+            yield from rec(remaining - part, prefix + (part,))
+
+    yield from rec(total, ())
+
+
+def test_partition_generators_match_references():
+    for total in range(13):
+        for parts in range(14):
+            walk = list(_partitions_reference(total, parts))
+            assert list(core._partitions(total, parts)) == walk
+            assert list(core._partitions(total, parts, exact=True)) == [
+                mu for mu in walk if len(mu) == parts]
+            assert list(_compositions_of(total, parts)) == list(
+                _compositions_reference(total, parts))
+
+
+def test_partition_generators_leave_no_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            list(core._partitions(14, 14))
+            list(core._partitions(14, 4, exact=True))
+            list(_compositions_of(10, 4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_full_free_energy_walks_the_partitions_once(monkeypatch):
+    cache = CorrelatorCache()
+    per_genus = CorrelatorCache()
+    walks = []
+    partitions = core._partitions
+
+    def counted(total, max_parts, exact=False):
+        walks.append(total)
+        return partitions(total, max_parts, exact)
+
+    def refuse(*args):
+        raise AssertionError("free energy re-validates a partition")
+
+    monkeypatch.setattr(core, "_partitions", counted)
+    monkeypatch.setattr(core, "gluing_count", refuse)
+    full = full_free_energy(12, cache)
+    monkeypatch.undo()
+    assert walks == [2, 4, 6, 8, 10, 12]
+    terms = {}
+    for g in genus_range(12):
+        for m, c in free_energy(g, 12, per_genus).terms.items():
+            terms[m.shift(gs_power=2 * g - 2)] = c
+    assert full == core.CouplingSeries(terms, 12)
+    # a miss derives the cell, the same cells as one walk per genus
+    assert cache.table == per_genus.table
+
+
+def test_full_free_energy_paranoid_rederives_every_hit(monkeypatch):
+    cache = CorrelatorCache()
+    plain = full_free_energy(10, cache)
+    cache.paranoid = True
+    derived = []
+    derive = core._derive
+
+    def counted(key, table):
+        derived.append(key)
+        return derive(key, table)
+
+    monkeypatch.setattr(core, "_derive", counted)
+    assert full_free_energy(10, cache) == plain
+    monkeypatch.undo()
+    looked_up = sum(1 for w in range(2, 11, 2) for _ in core._partitions(w, w))
+    assert len(derived) == looked_up * len(genus_range(10))
+    cache.table[(1, (4, 2))] += 1
+    with pytest.raises(CacheMismatch):
+        full_free_energy(10, cache)

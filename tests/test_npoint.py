@@ -1,10 +1,13 @@
 """n-point functions: both constructions, the D operator, S-functions, QSC."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+import fatrec.npoint as npoint
+from fatrec.correlators import CorrelatorCache
 from fatrec.exact import TPoly
 from fatrec.npoint import (NPointRecursion, op_D, qsc_residual, s_function,
                            w_from_correlators, w_recursion, w01_closed)
@@ -184,3 +187,102 @@ def test_recursion_products_stop_at_the_bound(monkeypatch):
     assert seen
     assert all(degree <= 10 + n for degree, n in seen), seen
     assert cell == w_from_correlators(0, 4, 10)
+
+
+# op_D as it was on TPoly coefficients, copied unchanged as the reference.
+def _op_D_reference(f: XSeries, target: str, max_inv_degree: int | None = None,
+                      source: str = "x1") -> XSeries:
+    """Monomial transformation realizing the vertex-splitting kernel:
+
+    x1^-(m+1) -> sum_{k+l=m} (l+1) x1^-(k+2) target^-(l+2), other variables
+    untouched; linear over terms.  Log slots are rejected.
+    """
+    if f.has_log():
+        raise ValueError("log slot present")
+    if target in f.variables:
+        raise ValueError("target variable already present")
+    i = f.variables.index(source)
+    variables = f.variables + (target,)
+    out: dict[tuple[int, ...], TPoly] = {}
+    for e, c in f.terms.items():
+        m = -e[i] - 1
+        if m < 0:
+            raise ValueError("terms must be a tail in the source variable")
+        for k in range(m + 1):
+            l = m - k
+            new_e = list(e) + [-(l + 2)]
+            new_e[i] = -(k + 2)
+            if max_inv_degree is not None and -sum(new_e) > max_inv_degree:
+                continue
+            key = tuple(new_e)
+            s = out.get(key, TPoly.zero()) + c * Fraction(l + 1)
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return XSeries(variables, out, None, None)
+
+
+@pytest.mark.parametrize("bound", [None, 6, 9])
+def test_op_D_matches_reference(bound):
+    rng = random.Random(f"op_D/{bound}")
+    for _ in range(40):
+        terms = {(-rng.randint(1, 5), rng.randint(-4, 2)): TPoly(
+            {rng.randint(0, 3): Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
+            for _ in range(rng.randint(0, 6))}
+        f = XSeries(("x1", "x2"), terms)
+        got, want = op_D(f, "x3", bound), _op_D_reference(f, "x3", bound)
+        assert got == want and got.variables == want.variables
+        assert all(type(v) is int or v.denominator != 1 for v in got._c.values())
+        assert got.trunc is want.trunc is None
+
+
+def test_npoint_coefficients_are_ints():
+    cache = CorrelatorCache()
+    rec = NPointRecursion(12, cache)
+    for g, n in [(0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (1, 3), (0, 4)]:
+        rec.cell(g, n)
+    for (g, n), cell in rec.cells.items():
+        assert cell._c and all(type(v) is int for v in cell._c.values()), (g, n)
+        direct = w_from_correlators(g, n, 12, cache)
+        assert all(type(v) is int for v in direct._c.values()), (g, n)
+        assert cell == direct
+
+
+def test_recursion_calls_no_tpoly_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("TPoly arithmetic in the n-point recursion")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__"):
+        monkeypatch.setattr(TPoly, name, refuse)
+    cell = NPointRecursion(10).cell(0, 4)
+    monkeypatch.undo()
+    assert cell == w_from_correlators(0, 4, 10)
+
+
+@pytest.mark.parametrize("g", [0, 1])
+def test_recursion_rejects_n_below_one(g):
+    rec = NPointRecursion(6)
+    with pytest.raises(ValueError, match="invalid key"):
+        rec.cell(g, 0)
+    assert rec.cells == {}
+    with pytest.raises(ValueError, match="invalid key"):
+        w_from_correlators(g, 0, 6)
+
+
+@pytest.mark.parametrize("power, reported", [(6, True), (7, False)])
+def test_qsc_reports_down_to_x_power_two_above_K(monkeypatch, power, reported):
+    # a stray c x^-p in S_0 shows up first in x S_0' at x^-p, which the
+    # check reads down to x^-(K - 2)
+    real = npoint.s_function
+
+    def perturbed(m, k, cache=None, zeroed=False):
+        s = real(m, k, cache, zeroed)
+        return s + XSeries.term(("x",), (-power,), 1) if m == 0 else s
+
+    monkeypatch.setattr(npoint, "s_function", perturbed)
+    report = qsc_residual(0, 8)
+    powers = {v["x_power"] for v in report.violations if v["form"] == "unshifted"}
+    assert (-power in powers) is reported
+    assert powers and min(powers) >= -6 if reported else not powers
