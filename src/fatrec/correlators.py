@@ -7,13 +7,21 @@ integers C_g(mu) = prod(mu) * F_g^mu, which count labelled gluings; with mu
 sorted descending, mu1 its first part and rest the others,
 
     C_g(mu) = sum_{v in rest} v * C_g(mu1 + v - 2, rest - v)
-            + sum_{a+b=mu1-2} [ C_{g-1}(a, b, rest)
-                                + sum_{I+J=rest, g1} C_{g1}(a, I) C_{g-g1}(b, J) ]
+            + sum_{a+b=mu1-2, a<=b} e_ab [ C_{g-1}(a, b, rest)
+                + sum_{I+J=rest, g1} w_I C_{g1}(a, I) C_{g-g1}(b, J) ]
             + 2 C_g(mu1 - 2, rest) + [mu = (1, 1) or (2), g = 0],
 
-where the splits I+J of rest run over sub-multisets weighted by binomials.
+where the splits I+J of rest run over sub-multisets, w_I = prod C(k_v, i_v)
+counts the index subsets that give I, and e_ab is 2 for a < b and 1 for
+a = b.  Summed over every a + b = mu1 - 2, each term would appear twice, as
+(a, I, g1) and as its mirror (b, J, g - g1), with w_I = w_J: the fold is
+exact.  Both factors of a term are read even when the left one is 0, so the
+folded sum derives the same cells as the unfolded one, where each right
+factor was the left factor of its mirror.
 ``_compute`` derives one cell and ``_derive`` runs those derivations on an
-explicit stack, so depth is not bounded by Python's recursion limit.
+explicit stack, so depth is not bounded by Python's recursion limit; the
+splits of each rest are kept in ``_split_memo`` for one top-level
+``_derive`` and dropped when it ends, also on an error.
 ``CorrelatorCache.table`` holds these integers; ``gluing_count`` reads one
 and ``correlator`` builds its TPoly only at its return.  A persistent JSON
 cache keyed by (g, sorted mu) makes the superpolynomial recursion cheap
@@ -262,18 +270,26 @@ def _derive(key: tuple[int, tuple[int, ...]],
     """
     stack = [(key, _compute(*key, table))]
     sent = None
-    while True:
-        cell, frame = stack[-1]
-        try:
-            child = frame.send(sent)
-        except StopIteration as done:
-            stack.pop()
-            sent = table[cell] = done.value
-            if not stack:
-                return sent
-        else:
-            stack.append((child, _compute(*child, table)))
-            sent = None
+    try:
+        while True:
+            cell, frame = stack[-1]
+            try:
+                child = frame.send(sent)
+            except StopIteration as done:
+                stack.pop()
+                sent = table[cell] = done.value
+                if not stack:
+                    return sent
+            else:
+                stack.append((child, _compute(*child, table)))
+                sent = None
+    finally:
+        _split_memo.clear()
+
+
+# _splits(rest) by rest, filled by ``_compute`` and emptied when the
+# top-level ``_derive`` ends, so that nothing outlives one derivation
+_split_memo: dict[tuple[int, ...], list] = {}
 
 
 def _splits(rest: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int, tuple[int, ...]]]:
@@ -316,32 +332,40 @@ def _compute(g: int, mu: tuple[int, ...], table: dict):
             # contracting the dumbbell leaves the plain vertex, weight t
             acc += 1
 
-    splits = _splits(rest)
-    for a in range(1, mu1 - 2):
-        b = mu1 - 2 - a
-        if g:
-            key = (g - 1, _desc((a, b) + rest))
+    # a <= b = mu1 - 2 - a; the terms with a < b stand for their mirrors too
+    half = mu1 // 2 - 1
+    if g:
+        for a in range(1, half + 1):
+            b = mu1 - 2 - a
+            key = (g - 1, tuple(sorted((a, b, *rest), reverse=True)))
             c = table.get(key)
             if c is None:
                 c = yield key
-            acc += c
-        for w, left_rest, left_sum, right_rest in splits:
-            if (a + left_sum) % 2:
-                continue
-            left_mu = _desc((a,) + left_rest)
-            right_mu = _desc((b,) + right_rest)
+            acc += 2 * c if a < b else c
+
+    splits = _split_memo.get(rest)
+    if splits is None:
+        splits = _split_memo[rest] = _splits(rest)
+    for w, left_rest, left_sum, right_rest in splits:
+        # a + |I| is even, and then so is b + |J|
+        for a in range(2 - left_sum % 2, half + 1, 2):
+            b = mu1 - 2 - a
+            left_mu = tuple(sorted((a, *left_rest), reverse=True))
+            right_mu = tuple(sorted((b, *right_rest), reverse=True))
+            term = 0
             for g1 in range(g + 1):
+                # the right factor is read even when left is 0: it is the
+                # left factor of the mirror term, so its cell is still derived
                 key = (g1, left_mu)
                 left = table.get(key)
                 if left is None:
                     left = yield key
-                if not left:
-                    continue
                 key = (g - g1, right_mu)
                 right = table.get(key)
                 if right is None:
                     right = yield key
-                acc += w * left * right
+                term += left * right
+            acc += (2 * w if a < b else w) * term
 
     if mu1 > 2:
         key = (g, _desc((mu1 - 2,) + rest))

@@ -103,6 +103,8 @@ class TPoly:
     def __add__(self, other) -> "TPoly":
         if isinstance(other, (int, Fraction)):
             other = TPoly.const(other)
+        elif not isinstance(other, TPoly):
+            return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, RAT_ZERO) + c
@@ -120,14 +122,20 @@ class TPoly:
     def __sub__(self, other) -> "TPoly":
         if isinstance(other, (int, Fraction)):
             other = TPoly.const(other)
+        elif not isinstance(other, TPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "TPoly":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "TPoly":
         if isinstance(other, (int, Fraction)):
             return TPoly({e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, TPoly):
+            return NotImplemented
         out: dict[int, Rat] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

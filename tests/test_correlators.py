@@ -356,6 +356,10 @@ def test_tutte_genus_zero_even_valences():
      "3f80d84a662bdb1b3bca2a26a341e497c0fb7fbcf909d9ebff7ad52f95431ca7"),
     (3, (24,), 526,
      "ffa229e7143a1158eba8214c90fea4e40d1461b8f44467d31729b899c6ec4d85"),
+    (2, (8, 6, 6, 4), 595,
+     "1720aa3cb409b5bd24fd92533b79096352f65d3f8327c97d29fac686de6cc526"),
+    (1, (5, 5, 3, 3, 2, 2), 194,
+     "44dc7ec5748af97d14b9f07bb5bf444f986ded91bd2bf09da2ca5e2cae4ad4c6"),
 ])
 def test_cold_cache_golden(g, mu, entries, digest):
     cache = CorrelatorCache()
@@ -546,3 +550,177 @@ def test_full_free_energy_paranoid_rederives_every_hit(monkeypatch):
     cache.table[(1, (4, 2))] += 1
     with pytest.raises(CacheMismatch):
         full_free_energy(10, cache)
+
+
+# The recursion before its a <-> b fold, as it stood: every ordered pair of
+# split terms, and the right factor skipped when the left one is 0.
+
+def _desc(mu):
+    return tuple(sorted(mu, reverse=True))
+
+
+def _splits_reference(rest):
+    splits = [(1, (), ())]
+    for v in sorted(set(rest), reverse=True):
+        k = rest.count(v)
+        splits = [(w * math.comb(k, i), left + (v,) * i, right + (v,) * (k - i))
+                  for w, left, right in splits for i in range(k + 1)]
+    return [(w, left, sum(left), right) for w, left, right in splits]
+
+
+def _compute_reference(g, mu, table):
+    n = len(mu)
+    mu1 = mu[0]
+    rest = mu[1:]
+    acc = 0
+
+    for v in set(rest):
+        m0 = mu1 + v - 2
+        if m0 > 0:
+            i = rest.index(v)
+            key = (g, _desc((m0,) + rest[:i] + rest[i + 1:]))
+            c = table.get(key)
+            if c is None:
+                c = yield key
+            acc += rest.count(v) * v * c
+        elif n == 2 and g == 0:
+            acc += 1
+
+    splits = _splits_reference(rest)
+    for a in range(1, mu1 - 2):
+        b = mu1 - 2 - a
+        if g:
+            key = (g - 1, _desc((a, b) + rest))
+            c = table.get(key)
+            if c is None:
+                c = yield key
+            acc += c
+        for w, left_rest, left_sum, right_rest in splits:
+            if (a + left_sum) % 2:
+                continue
+            left_mu = _desc((a,) + left_rest)
+            right_mu = _desc((b,) + right_rest)
+            for g1 in range(g + 1):
+                key = (g1, left_mu)
+                left = table.get(key)
+                if left is None:
+                    left = yield key
+                if not left:
+                    continue
+                key = (g - g1, right_mu)
+                right = table.get(key)
+                if right is None:
+                    right = yield key
+                acc += w * left * right
+
+    if mu1 > 2:
+        key = (g, _desc((mu1 - 2,) + rest))
+        c = table.get(key)
+        if c is None:
+            c = yield key
+        acc += 2 * c
+    elif n == 1 and g == 0 and mu1 == 2:
+        acc += 1
+
+    return acc
+
+
+def _derive_reference(key, table):
+    stack = [(key, _compute_reference(*key, table))]
+    sent = None
+    while True:
+        cell, frame = stack[-1]
+        try:
+            child = frame.send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = table[cell] = done.value
+            if not stack:
+                return sent
+        else:
+            stack.append((child, _compute_reference(*child, table)))
+            sent = None
+
+
+def test_folded_recursion_matches_the_unfolded_reference():
+    # repeated parts reach a = b with I = J, where a term is its own mirror
+    keys = [(3, (6, 6, 6, 6)), (1, (5, 5, 3, 3, 2, 2)), (2, (8, 6, 6, 4)),
+            (0, (4, 4, 4, 4, 4, 4)), (2, (10, 10))]
+    keys += [(g, mu) for w in range(2, 15, 2) for mu in core._partitions(w, 5)
+             for g in range(core.max_feasible_genus(mu) + 1)]
+    for key in keys:
+        want, got = {}, {}
+        value = _derive_reference(key, want)
+        assert core._derive(key, got) == value, key
+        # the same cells, each with the same integer
+        assert got == want, key
+
+
+def test_split_memo_lives_for_one_derivation(monkeypatch):
+    cache = CorrelatorCache()
+    correlator(2, (8, 6, 6, 4), cache)
+    assert core._split_memo == {}
+    cache.paranoid = True
+    cache.table[(2, (8, 6, 6, 4))] += 1
+    with pytest.raises(CacheMismatch):
+        correlator(2, (8, 6, 6, 4), cache)
+    assert core._split_memo == {}
+    # an exception in the middle of a derivation empties it too
+    splits, calls = core._splits, []
+
+    def failing(rest):
+        calls.append(rest)
+        if len(calls) == 5:
+            raise RuntimeError("stop")
+        return splits(rest)
+
+    monkeypatch.setattr(core, "_splits", failing)
+    with pytest.raises(RuntimeError):
+        correlator(1, (6, 4, 4), CorrelatorCache())
+    assert len(calls) == 5 and core._split_memo == {}
+
+
+def test_cold_derivation_leaves_no_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        correlator(2, (8, 6, 6, 4), CorrelatorCache())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def carrell_chapuy(max_genus, max_n):
+    """Q_g(n), rooted maps with n edges on the genus-g surface:
+    (n+1)/6 Q_g(n) = 2(2n-1)/3 Q_g(n-1) + (2n-3)(2n-2)(2n-1)/12 Q_{g-1}(n-2)
+                     + 1/2 sum_{k+l=n; k,l>=1} sum_{i+j=g} (2k-1)(2l-1) Q_i(k-1) Q_j(l-1),
+    with Q_0(0) = 1 (S. R. Carrell and G. Chapuy, JCTA 133, 2015)."""
+    q = {(g, 0): Fraction(int(g == 0)) for g in range(max_genus + 1)}
+    for n in range(1, max_n + 1):
+        for g in range(max_genus + 1):
+            rhs = Fraction(2 * (2 * n - 1), 3) * q[(g, n - 1)]
+            if g and n >= 2:
+                rhs += Fraction((2 * n - 3) * (2 * n - 2) * (2 * n - 1), 12) * q[(g - 1, n - 2)]
+            rhs += Fraction(1, 2) * sum(
+                (2 * k - 1) * (2 * (n - k) - 1) * q[(i, k - 1)] * q[(g - i, n - k - 1)]
+                for k in range(1, n) for i in range(g + 1))
+            q[(g, n)] = rhs * 6 / (n + 1)
+    return q
+
+
+def test_carrell_chapuy_rooted_maps():
+    # Q_g(n) = sum over mu |- 2n of 2n C_g(mu) / (prod(mu) prod_k m_k!): the
+    # many-vertex cells at every genus, which Harer-Zagier and Tutte miss
+    q = carrell_chapuy(3, 10)
+    assert [q[(0, n)] for n in range(1, 5)] == [2, 9, 54, 378]
+    assert [q[(1, n)] for n in range(2, 6)] == [1, 20, 307, 4280]
+    assert [q[(2, n)] for n in range(4, 6)] == [21, 966]
+    cache = CorrelatorCache()
+    got = {(g, 0): q[(g, 0)] for g in range(4)}
+    for n in range(1, 11):
+        for g in range(4):
+            got[(g, n)] = sum(
+                Fraction(2 * n * core.gluing_count(g, mu, cache),
+                         math.prod(mu) * math.prod(math.factorial(mu.count(k)) for k in set(mu)))
+                for mu in core._partitions(2 * n, 2 * n))
+    assert got == q

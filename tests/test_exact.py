@@ -1,5 +1,6 @@
 """Exact arithmetic layer: rationals, t-polynomials, coupling series."""
 
+import operator
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 from fatrec.exact import (CouplingMonomial, CouplingSeries, TPoly, rat_str,
                           series_exp, series_log)
+from fatrec.xseries import XSeries
 
 
 def mono(couplings=(), t=0, gs=0):
@@ -38,6 +40,18 @@ def test_tpoly_arithmetic_exact():
     assert p * q == TPoly({3: Fraction(1, 6), 1: Fraction(1, 2)})
     assert (p - p).is_zero()
     assert p.eval_at(Fraction(2)) == Fraction(1)
+
+
+def test_tpoly_defers_to_foreign_operands():
+    f = XSeries(("x",), {(-1,): 1, (-3,): TPoly.t_power(1, 2)})
+    for c in (TPoly.const(2), TPoly({0: 1, 2: Fraction(1, 3)})):
+        assert c * f == f * c
+    one = TPoly.const(1)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(one, "a")
+        with pytest.raises(TypeError):
+            op("a", one)
 
 
 def test_tpoly_rejects_negative_exponent():
