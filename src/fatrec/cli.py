@@ -161,23 +161,20 @@ def _cmd_enumerate(args, cache) -> int:
     return 0
 
 
+def _emit_series(args, series, params: dict) -> None:
+    terms = [{"monomial": str(m), "coeff": rat_str(c)} for m, c in series.sorted_terms()]
+    _emit(args, [str(series)], {**params, "terms": terms})
+
+
 def _cmd_free_energy(args, cache) -> int:
-    series = free_energy(args.genus, args.max_weight, cache)
-    payload = {"genus": args.genus, "max_weight": args.max_weight,
-               "terms": [{"monomial": str(m), "coeff": rat_str(c)}
-                         for m, c in sorted(series.terms.items(),
-                                            key=lambda kv: kv[0].sort_key())]}
-    _emit(args, [str(series)], payload)
+    _emit_series(args, free_energy(args.genus, args.max_weight, cache),
+                 {"genus": args.genus, "max_weight": args.max_weight})
     return 0
 
 
 def _cmd_partition(args, cache) -> int:
-    series = partition_function(args.max_weight, cache)
-    payload = {"max_weight": args.max_weight,
-               "terms": [{"monomial": str(m), "coeff": rat_str(c)}
-                         for m, c in sorted(series.terms.items(),
-                                            key=lambda kv: kv[0].sort_key())]}
-    _emit(args, [str(series)], payload)
+    _emit_series(args, partition_function(args.max_weight, cache),
+                 {"max_weight": args.max_weight})
     return 0
 
 

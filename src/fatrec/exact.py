@@ -471,11 +471,14 @@ class CouplingSeries:
         return CouplingSeries._of(_summed((ks, t, 0, v) for (ks, t, _), v in self._a.items()),
                                   self.trunc)
 
+    def sorted_terms(self) -> list[tuple[CouplingMonomial, Rat]]:
+        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+
     def __str__(self) -> str:
         if not self._a:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: kv[0].sort_key()):
+        for m, c in self.sorted_terms():
             if m.is_empty():
                 parts.append(rat_str(c))
             elif c == 1:

@@ -12,13 +12,19 @@ pairing.  ``enumerate_graphs`` makes one canonical test per pairing of the
 wanted genus: since a class's first word met is its least, a pairing is kept
 only when no rotation gives a smaller word, and its weight 1/|Aut| comes from
 the rotations that give the same word.
+
+Every graph and sum derived here comes from valid parts, so it is built on
+one trusted path: graphs by ``FatGraph._make`` (``_rebuild`` renumbers the
+half-edges of a contraction, union or relabelling; the walk's words come
+out whole) and sums by ``GraphSum._of``, through ``_summed`` wherever terms
+are added.  Only the public constructors check their input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import prod
 
 from .exact import Rat, TPoly, rat_str
@@ -39,22 +45,23 @@ class GraphSum:
                     clean[gr] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, terms: dict[FatGraph, Fraction]) -> "GraphSum":
+        """Trusted constructor: every coefficient is a nonzero Fraction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("GraphSum is immutable")
 
     @staticmethod
     def zero() -> "GraphSum":
-        return GraphSum()
+        return GraphSum._of({})
 
     @staticmethod
     def single(graph: FatGraph, coeff=1) -> "GraphSum":
         return GraphSum({graph: Fraction(coeff)})
-
-    def label_universe(self) -> set[int]:
-        out: set[int] = set()
-        for gr in self.terms:
-            out.update(gr.labels)
-        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -65,17 +72,10 @@ class GraphSum:
         return self.terms == other.terms
 
     def __add__(self, other: "GraphSum") -> "GraphSum":
-        out = dict(self.terms)
-        for gr, c in other.terms.items():
-            s = out.get(gr, Fraction(0)) + c
-            if s:
-                out[gr] = s
-            else:
-                out.pop(gr, None)
-        return GraphSum(out)
+        return _summed(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "GraphSum":
-        return GraphSum({gr: -c for gr, c in self.terms.items()})
+        return GraphSum._of({gr: -c for gr, c in self.terms.items()})
 
     def __sub__(self, other: "GraphSum") -> "GraphSum":
         return self + (-other)
@@ -83,21 +83,14 @@ class GraphSum:
     def scale(self, c) -> "GraphSum":
         c = Fraction(c)
         if c == 0:
-            return GraphSum()
-        return GraphSum({gr: k * c for gr, k in self.terms.items()})
+            return GraphSum.zero()
+        return GraphSum._of({gr: k * c for gr, k in self.terms.items()})
 
     def __mul__(self, other: "GraphSum") -> "GraphSum":
         """Disjoint union of graphs, bilinear; label sets must not clash."""
-        out: dict[FatGraph, Rat] = {}
-        for g1, c1 in self.terms.items():
-            for g2, c2 in other.terms.items():
-                gr = graph_union(g1, g2)
-                s = out.get(gr, Fraction(0)) + c1 * c2
-                if s:
-                    out[gr] = s
-                else:
-                    out.pop(gr, None)
-        return GraphSum(out)
+        return _summed((graph_union(g1, g2), c1 * c2)
+                       for g1, c1 in self.terms.items()
+                       for g2, c2 in other.terms.items())
 
     def weighted_t_total(self) -> TPoly:
         """Sum of coeff * t^(face count) over the graphs in this sum."""
@@ -119,40 +112,37 @@ class GraphSum:
         return f"GraphSum({self})"
 
 
-def _rebuild(blocks: list[tuple[int, list]], alpha_map: dict) -> FatGraph:
-    """Renumber arbitrary half-edge ids into a fresh FatGraph.
+def _summed(terms) -> GraphSum:
+    """The GraphSum of (graph, Fraction) terms: equal graphs added, zeros dropped."""
+    out: dict[FatGraph, Fraction] = {}
+    for gr, c in terms:
+        out[gr] = out.get(gr, 0) + c
+    return GraphSum._of({gr: c for gr, c in out.items() if c})
 
-    ``blocks`` is a list of (label, cyclic sequence of old ids) in the desired
-    vertex order; ``alpha_map`` pairs old ids.
+
+def _rebuild(pieces, alpha) -> FatGraph:
+    """Renumber half-edges into a fresh FatGraph, vertices sorted by label.
+
+    ``pieces`` lists (label, old half-edge ids in rotation order), one per
+    vertex; ``alpha[x]`` is the old id paired with old id x.
     """
-    new_id = {}
-    counter = 1
-    for _, seq in blocks:
-        for old in seq:
-            new_id[old] = counter
-            counter += 1
-    mu = [len(seq) for _, seq in blocks]
-    labels = [lab for lab, _ in blocks]
-    alpha = {}
-    for old, new in new_id.items():
-        alpha[new] = new_id[alpha_map[old]]
-    return FatGraph(mu, alpha, labels)
+    pieces = sorted(pieces, key=lambda p: p[0])
+    order = [old for _, seq in pieces for old in seq]
+    new_id = dict(zip(order, range(1, len(order) + 1)))
+    return FatGraph._make(tuple(len(seq) for _, seq in pieces),
+                          tuple(new_id[alpha[old]] for old in order),
+                          tuple(lab for lab, _ in pieces))
 
 
 def graph_union(g1: FatGraph, g2: FatGraph) -> FatGraph:
     """Disjoint union; vertices re-sorted by label."""
     if set(g1.labels) & set(g2.labels):
         raise ValueError("label sets overlap")
-    pieces = []
-    for tag, gr in (("a", g1), ("b", g2)):
-        for i in range(gr.n_vertices):
-            pieces.append((gr.labels[i], [(tag, h) for h in gr.block(i)]))
-    pieces.sort(key=lambda p: p[0])
-    alpha_map = {}
-    for tag, gr in (("a", g1), ("b", g2)):
-        for h in range(1, gr.n_half_edges + 1):
-            alpha_map[(tag, h)] = (tag, gr.alpha_of(h))
-    return _rebuild(pieces, alpha_map)
+    shift = g1.n_half_edges
+    pieces = [(lab, g1.block(i)) for i, lab in enumerate(g1.labels)]
+    pieces += [(lab, tuple(h + shift for h in g2.block(i)))
+               for i, lab in enumerate(g2.labels)]
+    return _rebuild(pieces, (0,) + g1.alpha + tuple(h + shift for h in g2.alpha))
 
 
 def relabel_graph(gr: FatGraph, new_labels: set[int] | list[int]) -> FatGraph:
@@ -160,21 +150,14 @@ def relabel_graph(gr: FatGraph, new_labels: set[int] | list[int]) -> FatGraph:
     new = sorted(new_labels)
     if len(new) != gr.n_vertices:
         raise ValueError("label count mismatch")
-    old_sorted = sorted(gr.labels)
-    mapping = {o: n for o, n in zip(old_sorted, new)}
-    pieces = [(mapping[gr.labels[i]], list(gr.block(i))) for i in range(gr.n_vertices)]
-    pieces.sort(key=lambda p: p[0])
-    alpha_map = {h: gr.alpha_of(h) for h in range(1, gr.n_half_edges + 1)}
-    return _rebuild(pieces, alpha_map)
+    mapping = dict(zip(sorted(gr.labels), new))
+    return _rebuild([(mapping[lab], gr.block(i)) for i, lab in enumerate(gr.labels)],
+                    (0,) + gr.alpha)
 
 
 def relabel(s: GraphSum, index_set) -> GraphSum:
     """F_{g,I}: replace labels v_1..v_n by the sorted indices of I."""
-    out: dict[FatGraph, Rat] = {}
-    for gr, c in s.terms.items():
-        g2 = relabel_graph(gr, index_set)
-        out[g2] = out.get(g2, Fraction(0)) + c
-    return GraphSum(out)
+    return _summed((relabel_graph(gr, index_set), c) for gr, c in s.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +290,15 @@ def enumerate_graphs(g: int, mu) -> GraphSum:
     """
     mu = _valences(mu)
     if mu == (0,):
-        return GraphSum.single(dot_graph(1)) if g == 0 else GraphSum.zero()
+        return GraphSum._of({dot_graph(1): Fraction(1)} if g == 0 else {})
     h = sum(mu)
     if h % 2 or g < 0:
         return GraphSum.zero()
     faces = 2 - 2 * g - len(mu) + h // 2
     walk = _Walk(mu, faces)
-    return GraphSum({FatGraph(mu, word): Fraction(1, aut)
-                     for word, aut in walk.found.items()})
+    labels = tuple(range(1, len(mu) + 1))
+    return GraphSum._of({FatGraph._make(mu, word, labels): Fraction(1, aut)
+                         for word, aut in walk.found.items()})
 
 
 def oracle_correlators_all_genus(mu) -> dict[int, TPoly]:
@@ -348,59 +332,36 @@ def oracle_correlator(g: int, mu) -> TPoly:
 # Edge contraction
 # ---------------------------------------------------------------------------
 
+def _after(gr: FatGraph, x: int) -> tuple[int, ...]:
+    """The half-edges after x at its vertex, in rotation order, x left out."""
+    block = gr.block(gr.vertex_of(x))
+    i = x - block[0]
+    return block[i + 1:] + block[:i]
+
+
 def _contract_at(gr: FatGraph, h: int) -> FatGraph:
-    """The graph obtained by contracting the edge holding half-edge h at v_1."""
-    n = gr.n_vertices
+    """The graph obtained by contracting the edge holding half-edge h at v_1.
+
+    An edge to another vertex merges its ends into a new v_1 (Whitehead
+    collapse); a loop splits v_1, the side right after h becoming the new
+    v_1.  The other vertices keep their blocks and order and take the next
+    labels.
+    """
     hp = gr.alpha_of(h)
-    p1 = gr.vertex_of(h)
-    pj = gr.vertex_of(hp)
-    alpha_map = {x: gr.alpha_of(x) for x in range(1, gr.n_half_edges + 1)
-                 if x not in (h, hp)}
-    if p1 != pj:
-        # Whitehead collapse: merge the two endpoints into a new v_1.
-        a_part = []
-        x = gr.sigma(h)
-        while x != h:
-            a_part.append(x)
-            x = gr.sigma(x)
-        b_part = []
-        x = gr.sigma(hp)
-        while x != hp:
-            b_part.append(x)
-            x = gr.sigma(x)
-        blocks = [(1, a_part + b_part)]
-        next_label = 2
-        for i in range(n):
-            if i in (p1, pj):
-                continue
-            blocks.append((next_label, list(gr.block(i))))
-            next_label += 1
-        blocks.sort(key=lambda p: p[0])
-        return _rebuild(blocks, alpha_map)
-    # Loop: split v_1; the side right after h becomes the new v_1.
-    between = []
-    x = gr.sigma(h)
-    while x != hp:
-        between.append(x)
-        x = gr.sigma(x)
-    after = []
-    x = gr.sigma(hp)
-    while x != h:
-        after.append(x)
-        x = gr.sigma(x)
-    blocks = [(1, between), (2, after)]
-    next_label = 3
-    for i in range(n):
-        if i == p1:
-            continue
-        blocks.append((next_label, list(gr.block(i))))
-        next_label += 1
-    return _rebuild(blocks, alpha_map)
+    p1, pj = gr.vertex_of(h), gr.vertex_of(hp)
+    after = _after(gr, h)
+    if p1 == pj:
+        k = after.index(hp)
+        head = [after[:k], after[k + 1:]]
+    else:
+        head = [after + _after(gr, hp)]
+    blocks = head + [gr.block(v) for v in range(gr.n_vertices) if v not in (p1, pj)]
+    return _rebuild(list(enumerate(blocks, 1)), (0,) + gr.alpha)
 
 
 def contract_K1(s: GraphSum) -> GraphSum:
     """Edge-contracting operator: sum of contractions over half-edges at v_1."""
-    out: dict[FatGraph, Rat] = {}
+    terms = []
     for gr, c in s.terms.items():
         if 1 not in gr.labels:
             raise ValueError("graph has no vertex labelled v1")
@@ -409,14 +370,8 @@ def contract_K1(s: GraphSum) -> GraphSum:
             raise ValueError("nothing to contract")
         if gr.labels != tuple(range(1, gr.n_vertices + 1)):
             raise ValueError("contraction requires standard labels 1..n")
-        for h in gr.block(p1):
-            g2 = _contract_at(gr, h)
-            val = out.get(g2, Fraction(0)) + c
-            if val:
-                out[g2] = val
-            else:
-                out.pop(g2, None)
-    return GraphSum(out)
+        terms += [(_contract_at(gr, h), c) for h in gr.block(p1)]
+    return _summed(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -448,25 +403,29 @@ class RecursionReport:
 
 def recursion_rhs(g: int, mu) -> GraphSum:
     """Right-hand side of the contraction recursion, as labelled graph sums."""
-    mu = tuple(int(m) for m in mu)
+    return _summed(_rhs_terms(g, tuple(int(m) for m in mu)))
+
+
+def _rhs_terms(g: int, mu: tuple[int, ...]):
+    """Yield the (graph, coeff) terms of recursion_rhs; a graph may repeat."""
     n = len(mu)
     rest = mu[1:]
-    rhs = GraphSum.zero()
+    one = Fraction(1)
 
     if g == 0 and n == 1 and mu[0] == 2:
-        rhs = rhs + GraphSum.single(graph_union(dot_graph(1), dot_graph(2)))
+        yield graph_union(dot_graph(1), dot_graph(2)), one
 
     for j in range(2, n + 1):
         m0 = mu[0] + mu[j - 1] - 2
         new_mu = (m0,) + tuple(mu[i - 1] for i in range(2, n + 1) if i != j)
         if m0 > 0:
-            rhs = rhs + enumerate_graphs(g, new_mu).scale(m0)
+            yield from enumerate_graphs(g, new_mu).scale(m0).terms.items()
         elif m0 == 0 and n == 2 and g == 0:
             # Contracting the dumbbell leaves the single valence-0 vertex.
             # The displayed coefficient m0 is 0 here and would drop it, yet
             # the dumbbell is one graph with one face, so F_0^(1,1) = t needs
             # this term with coefficient 1.
-            rhs = rhs + GraphSum.single(dot_graph(1))
+            yield dot_graph(1), one
 
     rest_indices = list(range(2, n + 1))
     for a in range(1, mu[0] - 2):
@@ -474,7 +433,7 @@ def recursion_rhs(g: int, mu) -> GraphSum:
         if b < 1:
             continue
         coeff = a * b
-        rhs = rhs + enumerate_graphs(g - 1, (a, b) + rest).scale(coeff)
+        yield from enumerate_graphs(g - 1, (a, b) + rest).scale(coeff).terms.items()
         for size in range(len(rest_indices) + 1):
             for subset in combinations(rest_indices, size):
                 comp = tuple(i for i in rest_indices if i not in subset)
@@ -490,18 +449,16 @@ def recursion_rhs(g: int, mu) -> GraphSum:
                         continue
                     left = relabel(left, {1} | {i + 1 for i in subset})
                     right = relabel(right, {2} | {i + 1 for i in comp})
-                    rhs = rhs + (left * right).scale(coeff)
+                    yield from (left * right).scale(coeff).terms.items()
 
     if mu[0] - 2 > 0:
         tail = enumerate_graphs(g, (mu[0] - 2,) + rest)
-        if not tail.is_zero():
-            c = mu[0] - 2
-            lab_all = set(range(1, n + 2))
-            rhs = rhs + (GraphSum.single(dot_graph(1))
-                         * relabel(tail, lab_all - {1})).scale(c)
-            rhs = rhs + (GraphSum.single(dot_graph(2))
-                         * relabel(tail, lab_all - {2})).scale(c)
-    return rhs
+        c = mu[0] - 2
+        lab_all = set(range(1, n + 2))
+        for v in (1, 2):
+            dot = dot_graph(v)
+            for gr, k in relabel(tail, lab_all - {v}).terms.items():
+                yield graph_union(dot, gr), k * c
 
 
 def verify_abstract_recursion(g: int, mu) -> RecursionReport:

@@ -35,7 +35,13 @@ class FaceSet:
 
 
 class FatGraph:
-    """Immutable labelled fat graph; see module docstring."""
+    """Immutable labelled fat graph; see module docstring.
+
+    The constructor checks its input: valences, labels, and that alpha is a
+    fixed-point-free involution of 1..H.  Graphs derived from valid ones
+    (renumbered, rotated or enumerated) are built by the trusted ``_make``,
+    which skips those checks; both fill the same slots through ``_fill``.
+    """
 
     __slots__ = ("mu", "labels", "alpha", "_blocks", "_canon", "_owner")
 
@@ -64,21 +70,26 @@ class FatGraph:
                 raise ValueError("alpha has a fixed point")
             if a[j - 1] != i:
                 raise ValueError("alpha is not an involution")
+        self._fill(mu, a, labels)
+
+    @classmethod
+    def _make(cls, mu: tuple[int, ...], alpha: tuple[int, ...],
+              labels: tuple[int, ...]) -> "FatGraph":
+        """Trusted constructor: tuples of ints that the constructor would accept."""
+        self = object.__new__(cls)
+        self._fill(mu, alpha, labels)
+        return self
+
+    def _fill(self, mu, alpha, labels):
         blocks = []
-        start = 1
-        for m in mu:
-            blocks.append(tuple(range(start, start + m)))
-            start += m
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "_blocks", tuple(blocks))
-        object.__setattr__(self, "_canon", None)
-        owner = [0] * (h + 1)
-        for i, block in enumerate(blocks):
-            for hh in block:
-                owner[hh] = i
-        object.__setattr__(self, "_owner", tuple(owner))
+        owner = [0]
+        for i, m in enumerate(mu):
+            blocks.append(tuple(range(len(owner), len(owner) + m)))
+            owner += [i] * m
+        for name, value in (("mu", mu), ("labels", labels), ("alpha", alpha),
+                            ("_blocks", tuple(blocks)), ("_canon", None),
+                            ("_owner", tuple(owner))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("FatGraph is immutable")
@@ -234,7 +245,7 @@ class FatGraph:
         return _least_rotation((0,) + self.alpha, _rotation_perms(self.mu))[1]
 
     def rotate(self, rot: Sequence[int]) -> "FatGraph":
-        return FatGraph(self.mu, self._rotated_alpha(rot), self.labels)
+        return FatGraph._make(self.mu, self._rotated_alpha(rot), self.labels)
 
     # -- equality and text form ----------------------------------------------
 

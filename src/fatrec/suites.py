@@ -7,6 +7,7 @@ when the checked identity holds at the requested bounds.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .correlators import (CorrelatorCache, _partitions, correlator,
                           max_feasible_genus, partition_function)
@@ -19,26 +20,16 @@ from .virasoro import (SuiteReport, commutator_check, heisenberg_check,
                        y_squared_negative_part)
 
 
-def _compositions_of(total: int, max_parts: int):
-    """Ordered tuples of at most ``max_parts`` positive parts summing to
-    ``total``, smallest first part first; walked on an explicit stack."""
-    stack = [(total, ())]
-    while stack:
-        remaining, prefix = stack.pop()
-        if not remaining:
-            if prefix:
-                yield prefix
-        elif len(prefix) < max_parts:
-            stack.extend((remaining - part, prefix + (part,))
-                         for part in range(remaining, 0, -1))
-
-
 def abstract_recursion_suite(max_size: int = 8, max_parts: int = 3) -> SuiteReport:
     """verify_abstract_recursion over every (g, mu), |mu| <= max_size."""
     violations = []
     checked = 0
     for total in range(2, max_size + 1, 2):
-        for mu in _compositions_of(total, max_parts):
+        # every composition of total into at most max_parts parts, given by
+        # the cut points between its parts, in lexicographic order
+        for mu in sorted(tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+                         for k in range(max_parts)
+                         for cuts in combinations(range(1, total), k)):
             for g in range(0, max_feasible_genus(mu) + 1):
                 checked += 1
                 report = verify_abstract_recursion(g, mu)

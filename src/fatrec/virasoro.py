@@ -80,10 +80,6 @@ def apply_L(m: int, f: CouplingSeries) -> CouplingSeries:
     return CouplingSeries._of(_summed(_L_terms(m, f._a, f.trunc)), f.trunc)
 
 
-def L_op(m: int) -> LinearOp:
-    return LinearOp(lambda f: apply_L(m, f))
-
-
 def reliable_weight(trunc: int, m: int) -> int:
     """Largest output weight of L_m fully determined by input weight <= trunc.
 
@@ -126,7 +122,7 @@ def verify_virasoro(m_max: int, max_weight: int,
         bound = reliable_weight(max_weight, m)
         lz = CouplingSeries._of(_summed(_L_terms(m, z._a, bound)), bound)
         bad = [{"m": m, "monomial": str(mono), "coeff": rat_str(c)}
-               for mono, c in sorted(lz.terms.items(), key=lambda kv: kv[0].sort_key())]
+               for mono, c in lz.sorted_terms()]
         violations.extend(bad)
         checks.append({"suite": "virasoro", "m": m, "D": max_weight,
                        "status": "pass" if not bad else "fail",
@@ -141,8 +137,7 @@ def commutator_check(m: int, n: int, probe: CouplingMonomial) -> bool:
     if m < -1 or n < -1 or m + n < -1:
         raise ValueError("indices out of range")
     s = CouplingSeries.monomial(probe)
-    lm, ln = L_op(m), L_op(n)
-    lhs = lm(ln(s)) - ln(lm(s))
+    lhs = apply_L(m, apply_L(n, s)) - apply_L(n, apply_L(m, s))
     rhs = apply_L(m + n, s) * Fraction(m - n)
     return lhs == rhs
 
@@ -283,7 +278,7 @@ def y_squared_negative_part(max_weight: int, z_order: int,
     for p in sorted(y2):
         if p >= 0 or p < -z_order:
             continue
-        for mono, c in sorted(y2[p].terms.items(), key=lambda kv: kv[0].sort_key()):
+        for mono, c in y2[p].sorted_terms():
             if mono.weight <= weight_bound:
                 violations.append({"z_power": p, "monomial": str(mono),
                                    "coeff": rat_str(c)})

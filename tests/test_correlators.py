@@ -12,14 +12,14 @@ from fractions import Fraction
 import pytest
 
 import fatrec.correlators as core
+import fatrec.suites as suites
 from fatrec.cli import main
 from fatrec.correlators import (CacheError, CacheMismatch, CorrelatorCache,
                                 correlator, free_energy, full_free_energy,
                                 genus_range, partition_function)
 from fatrec.cutjoin import exp_M_vacuum
 from fatrec.exact import CouplingMonomial, TPoly
-from fatrec.graphsum import oracle_correlator
-from fatrec.suites import _compositions_of
+from fatrec.graphsum import RecursionReport, oracle_correlator
 from fatrec.virasoro import verify_virasoro
 
 
@@ -480,25 +480,42 @@ def _compositions_reference(total, max_parts):
     yield from rec(total, ())
 
 
-def test_partition_generators_match_references():
+def _abstract_suite_inputs(monkeypatch, max_size, max_parts):
+    """The (g, mu) that ``abstract_recursion_suite`` checks, in its order."""
+    seen = []
+
+    def record(g, mu):
+        seen.append((g, mu))
+        return RecursionReport(g, mu, True)
+
+    monkeypatch.setattr(suites, "verify_abstract_recursion", record)
+    report = suites.abstract_recursion_suite(max_size, max_parts)
+    assert report.params["checked"] == len(seen)
+    return seen
+
+
+def test_partition_generators_match_references(monkeypatch):
     for total in range(13):
         for parts in range(14):
             walk = list(_partitions_reference(total, parts))
             assert list(core._partitions(total, parts)) == walk
             assert list(core._partitions(total, parts, exact=True)) == [
                 mu for mu in walk if len(mu) == parts]
-            assert list(_compositions_of(total, parts)) == list(
-                _compositions_reference(total, parts))
+    for parts in range(14):
+        assert _abstract_suite_inputs(monkeypatch, 12, parts) == [
+            (g, mu) for total in range(2, 13, 2)
+            for mu in _compositions_reference(total, parts)
+            for g in range(core.max_feasible_genus(mu) + 1)]
 
 
-def test_partition_generators_leave_no_cycles():
+def test_partition_generators_leave_no_cycles(monkeypatch):
     gc.collect()
     gc.disable()
     try:
         for _ in range(3):
             list(core._partitions(14, 14))
             list(core._partitions(14, 4, exact=True))
-            list(_compositions_of(10, 4))
+            _abstract_suite_inputs(monkeypatch, 10, 4)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,6 +1,8 @@
 """Graph sums: enumeration, the oracle, edge contraction, the recursion."""
 
 import gc
+import hashlib
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -8,9 +10,10 @@ from math import prod
 
 import pytest
 
+from fatrec.cli import main
 from fatrec.exact import TPoly
-from fatrec.graphsum import (GraphSum, contract_K1, enumerate_graphs,
-                             graph_union, oracle_correlator,
+from fatrec.graphsum import (GraphSum, _contract_at, contract_K1,
+                             enumerate_graphs, graph_union, oracle_correlator,
                              oracle_correlators_all_genus,
                              relabel, verify_abstract_recursion)
 from fatrec.ribbon import FatGraph, dot_graph, involutions, loop_graph
@@ -272,3 +275,144 @@ def test_enumerate_rejects_empty_mu():
 def test_oracle_rejects_empty_mu():
     with pytest.raises(ValueError, match="mu must have at least one vertex"):
         oracle_correlators_all_genus(())
+
+
+# ---------------------------------------------------------------------------
+# Derived graphs and sums, built without re-validation
+# ---------------------------------------------------------------------------
+
+def _rebuild_reference(blocks, alpha_map):
+    """Renumbering through the validating constructor, as ``_rebuild`` was."""
+    new_id = {}
+    counter = 1
+    for _, seq in blocks:
+        for old in seq:
+            new_id[old] = counter
+            counter += 1
+    mu = [len(seq) for _, seq in blocks]
+    labels = [lab for lab, _ in blocks]
+    alpha = {}
+    for old, new in new_id.items():
+        alpha[new] = new_id[alpha_map[old]]
+    return FatGraph(mu, alpha, labels)
+
+
+def _contract_at_reference(gr, h):
+    """The sigma walks that ``graphsum._contract_at`` replaced."""
+    n = gr.n_vertices
+    hp = gr.alpha_of(h)
+    p1 = gr.vertex_of(h)
+    pj = gr.vertex_of(hp)
+    alpha_map = {x: gr.alpha_of(x) for x in range(1, gr.n_half_edges + 1)
+                 if x not in (h, hp)}
+    if p1 != pj:
+        # Whitehead collapse: merge the two endpoints into a new v_1.
+        a_part = []
+        x = gr.sigma(h)
+        while x != h:
+            a_part.append(x)
+            x = gr.sigma(x)
+        b_part = []
+        x = gr.sigma(hp)
+        while x != hp:
+            b_part.append(x)
+            x = gr.sigma(x)
+        blocks = [(1, a_part + b_part)]
+        next_label = 2
+        for i in range(n):
+            if i in (p1, pj):
+                continue
+            blocks.append((next_label, list(gr.block(i))))
+            next_label += 1
+        blocks.sort(key=lambda p: p[0])
+        return _rebuild_reference(blocks, alpha_map)
+    # Loop: split v_1; the side right after h becomes the new v_1.
+    between = []
+    x = gr.sigma(h)
+    while x != hp:
+        between.append(x)
+        x = gr.sigma(x)
+    after = []
+    x = gr.sigma(hp)
+    while x != h:
+        after.append(x)
+        x = gr.sigma(x)
+    blocks = [(1, between), (2, after)]
+    next_label = 3
+    for i in range(n):
+        if i == p1:
+            continue
+        blocks.append((next_label, list(gr.block(i))))
+        next_label += 1
+    return _rebuild_reference(blocks, alpha_map)
+
+
+def _small_mu():
+    for total in range(1, 9):
+        yield from _walk_cases(total)
+
+
+def test_contraction_matches_sigma_walk_reference():
+    for mu in _small_mu():
+        for alpha in involutions(sum(mu)):
+            gr = FatGraph(mu, alpha)
+            for h in gr.block(0):
+                assert (_contract_at(gr, h).to_text()
+                        == _contract_at_reference(gr, h).to_text()), (mu, alpha, h)
+
+
+def _assert_valid(gr):
+    ref = FatGraph(gr.mu, gr.alpha, gr.labels)
+    assert ref == gr
+    for name in ("mu", "alpha", "labels", "_blocks", "_owner"):
+        assert getattr(ref, name) == getattr(gr, name), (name, gr)
+
+
+def _assert_valid_sum(s):
+    assert all(type(c) is Fraction and c for c in s.terms.values())
+    for gr in s.terms:
+        _assert_valid(gr)
+
+
+def test_derived_graphs_equal_validated_ones():
+    for mu in _small_mu():
+        n = len(mu)
+        for g in range(0, sum(mu) // 4 + 2):
+            s = enumerate_graphs(g, mu)
+            shifted = relabel(s, range(n + 1, 2 * n + 1))
+            for derived in (s, contract_K1(s), shifted, s * shifted,
+                            GraphSum.single(dot_graph(n + 1)) * s, s + s, s - s):
+                _assert_valid_sum(derived)
+            for gr in s.terms:
+                for rot in product(*(range(m) for m in mu)):
+                    _assert_valid(gr.rotate(rot))
+
+
+def test_recursion_builds_no_graph_through_the_constructors(monkeypatch):
+    callers = []
+    graph_init, sum_init = FatGraph.__init__, GraphSum.__init__
+
+    def spy(init):
+        def wrapped(self, *args):
+            callers.append((init.__qualname__, sys._getframe(1).f_code.co_name))
+            init(self, *args)
+        return wrapped
+
+    monkeypatch.setattr(FatGraph, "__init__", spy(graph_init))
+    monkeypatch.setattr(GraphSum, "__init__", spy(sum_init))
+    assert verify_abstract_recursion(1, (10,)).equal
+    assert set(callers) == {("FatGraph.__init__", "dot_graph")}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("enumerate --mu 3,3,2 --details --format json",
+     "e37933665ff153681ec0aefb8847c450ac0c61264105519abaff35a1c15bc7e4"),
+    ("enumerate --mu 10 --genus 2 --details",
+     "b6b8435b9c87f9bf04865149d9691ac2c022c5303b1515b57a17b7920f685d98"),
+    ("verify --suite abstract-rec --format json",
+     "dc38c881e8fd27563b1d6194dea5f71e32a410dd2171250377db79638199f8af"),
+], ids=["enumerate_332_json", "enumerate_10_genus_2", "abstract_rec_json"])
+def test_cli_graph_golden(argv, digest, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv.split(), "--no-cache"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
