@@ -122,50 +122,61 @@ class CorrelatorCache:
             return
         payload = self.serialize()
         lock = self.path + ".lock"
-        fd = _acquire(lock)
+        _acquire(lock)
         try:
-            os.write(fd, str(os.getpid()).encode("ascii"))
             tmp = self.path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(payload)
             os.replace(tmp, self.path)
             self.stored = len(self.table)
         finally:
-            os.close(fd)
             os.unlink(lock)
 
 
-def _acquire(lock: str) -> int:
-    """Create ``lock`` exclusively; the caller writes its PID into it.
+def _acquire(lock: str) -> None:
+    """Take ``lock``, a file that holds this process's PID from the start.
 
-    A lock whose PID no longer exists was left by a killed run: it is
-    unlinked and the create is tried once more.  A lock of a live process,
-    or one whose holder has not written its PID yet, raises CacheError.
+    The PID is written to a file of its own, which is then hard-linked to
+    ``lock``: the link fails if the lock exists, and a lock never exists
+    without its PID.  A lock that is empty or whose PID no longer exists was
+    left by a killed run: it is unlinked and the link is tried once more.
+    A lock of a live process raises CacheError.
     """
-    for retry in (False, True):
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if retry or not _holder_is_dead(lock):
-                raise CacheError(f"cache is locked: {lock}") from None
+    own = f"{lock}.{os.getpid()}"
+    with open(own, "w", encoding="ascii") as fh:
+        fh.write(str(os.getpid()))
+    try:
+        for retry in (False, True):
             try:
-                os.unlink(lock)
-            except FileNotFoundError:
-                pass
-        else:
-            return fd
+                os.link(own, lock)
+                return
+            except FileExistsError:
+                if retry or not _holder_is_dead(lock):
+                    raise CacheError(f"cache is locked: {lock}") from None
+                try:
+                    os.unlink(lock)
+                except FileNotFoundError:
+                    pass
+    finally:
+        os.unlink(own)
 
 
 def _holder_is_dead(lock: str) -> bool:
-    """True when ``lock`` is gone or names a PID that no longer exists."""
+    """True when ``lock`` is gone, empty, or names a PID that no longer exists.
+
+    No holder leaves its lock empty, so an empty one is stale.
+    """
     try:
         with open(lock, encoding="ascii") as fh:
-            pid = int(fh.read())
+            text = fh.read()
+        if not text:
+            return True
+        pid = int(text)
         if pid > 0:
             os.kill(pid, 0)
     except (FileNotFoundError, ProcessLookupError):
         return True
-    except (OSError, ValueError):  # unreadable, no PID yet, or another user's process
+    except (OSError, ValueError):  # unreadable, not a PID, or another user's process
         pass
     return False
 

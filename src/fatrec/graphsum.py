@@ -5,13 +5,21 @@ built literally (one canonical fat graph per class, weighted 1/|Aut|), the
 edge-contraction operator acts graph by graph, and the quadratic recursion is
 checked as an identity between finite graph sums.
 
-The brute force visits each of the (|mu|-1)!! pairings once, depth first, in
+The brute force counts each of the (|mu|-1)!! pairings once, depth first, in
 lexicographic order of the alpha word.  Faces and components are updated per
 edge (see ``_Walk``) in place of a fresh face count and union-find per
-pairing.  ``enumerate_graphs`` makes one canonical test per pairing of the
-wanted genus: since a class's first word met is its least, a pairing is kept
-only when no rotation gives a smaller word, and its weight 1/|Aut| comes from
-the rotations that give the same word.
+pairing, and the last three edges of every pairing are counted from two
+bounded tables in place of walking them edge by edge: the face change of
+each of their 15 pairings, keyed by how the open faces pass through the six
+free half-edges, and whether it connects the graph, keyed by the components
+those half-edges lie on.  The tables are filled on first use and kept for
+the process, since there are at most 746 and 220 keys and a walk of |mu| = 14
+alone would refill about 270 of them.  ``enumerate_graphs`` makes one
+canonical test per pairing of the wanted genus: since a class's first word
+met is its least, a pairing is kept only when no rotation gives a smaller
+word, and its weight 1/|Aut| comes from the rotations that give the same
+word.  Nothing here uses the correlator recursion, so the oracle stays an
+independent check of it.
 
 Every graph and sum derived here comes from valid parts, so it is built on
 one trusted path: graphs by ``FatGraph._make`` (``_rebuild`` renumbers the
@@ -28,7 +36,8 @@ from itertools import chain, combinations
 from math import prod
 
 from .exact import Rat, TPoly, rat_str
-from .ribbon import FatGraph, _least_rotation, _rotation_perms, dot_graph
+from .ribbon import (FatGraph, _least_rotation, _rotation_perms, dot_graph,
+                     involutions)
 
 
 class GraphSum:
@@ -181,10 +190,15 @@ class _Walk:
     phi[b], which splits one face in two when a and b lie on one phi-cycle
     and merges two faces otherwise, so the face count starts at n (one per
     vertex) and moves by one per edge.  ``comp[v]`` is the vertex bitmask
-    of the component of v.  Only connected pairings reach ``_leaf``; with a
-    ``target`` face count, branches that cannot reach it are cut.  Building
-    a walk runs it: ``found`` maps face counts to pairing counts or, given a
-    target, the canonical words of that face count to |Aut|.
+    of the component of v.  With a ``target`` face count, branches that
+    cannot reach it are cut.
+
+    The last three edges (all of them when mu has at most six half-edges)
+    are not walked: ``_tail`` reads their 15 pairings, in the same order,
+    from the tables ``_FACE_CHANGES`` and ``_JOINS``.  Each pairing is still
+    counted once.  Building a walk runs it: ``found`` maps face counts to
+    connected pairing counts or, given a target, the canonical words of that
+    face count to |Aut|.
     """
 
     __slots__ = ("alpha", "phi", "owner", "comp", "full", "target", "perms",
@@ -206,12 +220,15 @@ class _Walk:
         self.target = target
         self.perms = None if target is None else _rotation_perms(mu)
         self.found = {}
-        self._glue(1, h // 2 - 1, len(mu))
+        if h > 6:
+            self._glue(1, h // 2 - 1, len(mu))
+        else:
+            self._tail(1, len(mu))
 
     def _glue(self, a, left, faces):
         """Glue half-edge a to each larger free one; ``left`` edges follow."""
         alpha, phi, comp, owner = self.alpha, self.phi, self.comp, self.owner
-        target, full = self.target, self.full
+        target = self.target
         cu = comp[owner[a]]
         for b in range(a + 1, len(alpha)):
             if alpha[b]:
@@ -225,59 +242,143 @@ class _Walk:
             cw = comp[owner[b]]
             alpha[a], alpha[b] = b, a
             phi[a], phi[b] = phi[b], phi[a]
-            if left == 1:
-                # The forced last pair c, d, resolved here without a call.
-                c = a + 1
-                while alpha[c]:
-                    c += 1
-                d = c + 1
-                while alpha[d]:
-                    d += 1
-                joined = cu | cw
-                cc, cd = comp[owner[c]], comp[owner[d]]
-                if cc & joined:
-                    cc |= joined
-                if cd & joined:
-                    cd |= joined
-                if cc | cd == full:
-                    x = phi[c]
-                    while x != c and x != d:
-                        x = phi[x]
-                    last = f + 1 if x == d else f - 1
-                    if target is None or last == target:
-                        alpha[c], alpha[d] = d, c
-                        self._leaf(last)
-                        alpha[c] = alpha[d] = 0
-            elif not left:
-                # Only when mu has a single edge.
-                if cu | cw == full:
-                    self._leaf(f)
+            if not cu & cw:
+                merged = cu | cw
+                for v, mask in enumerate(comp):
+                    if mask == cu or mask == cw:
+                        comp[v] = merged
+            nxt = a + 1
+            while alpha[nxt]:
+                nxt += 1
+            if left == 3:
+                self._tail(nxt, f)
             else:
-                if not cu & cw:
-                    merged = cu | cw
-                    for v, mask in enumerate(comp):
-                        if mask == cu or mask == cw:
-                            comp[v] = merged
-                nxt = a + 1
-                while alpha[nxt]:
-                    nxt += 1
                 self._glue(nxt, left - 1, f)
-                if not cu & cw:
-                    for v, mask in enumerate(comp):
-                        if mask == merged:
-                            comp[v] = cu if cu >> v & 1 else cw
+            if not cu & cw:
+                for v, mask in enumerate(comp):
+                    if mask == merged:
+                        comp[v] = cu if cu >> v & 1 else cw
             phi[a], phi[b] = phi[b], phi[a]
             alpha[a] = alpha[b] = 0
 
-    def _leaf(self, faces):
-        """Record the connected pairing in ``alpha``, which has ``faces``."""
-        found = self.found
-        if self.target is None:
-            found[faces] = found.get(faces, 0) + 1
+    def _tail(self, a, faces):
+        """Count the pairings of the free half-edges, a the smallest of them.
+
+        rho, the first return of phi to the free half-edges, gives the face
+        change of every pairing; the components they lie on give the
+        pairings that connect the graph.
+        """
+        alpha, phi, comp, owner = self.alpha, self.phi, self.comp, self.owner
+        free = [x for x in range(a, len(alpha)) if not alpha[x]]
+        key = shift = 0
+        for x in free:
+            y = phi[x]
+            while alpha[y]:
+                y = phi[y]
+            key |= (free.index(y) + 1) << shift
+            shift += 3
+        changes = _FACE_CHANGES.get(key) or _fill_face_changes(key, len(free))
+        masks = [comp[owner[x]] for x in free]
+        joins = _CONNECTED
+        if masks[0] != self.full:
+            key = shift = union = 0
+            for m in masks:
+                key |= (masks.index(m) + 1) << shift
+                shift += 3
+                union |= m
+            if union != self.full:
+                return
+            joins = _JOINS.get(key) or _fill_joins(key, len(free))
+        found, target = self.found, self.target
+        if target is None:
+            if joins is _CONNECTED:
+                for d in range(7):
+                    k = changes.count(d)
+                    if k:
+                        found[faces + d - 3] = found.get(faces + d - 3, 0) + k
+            else:
+                for d, ok in zip(changes, joins):
+                    if ok:
+                        found[faces + d - 3] = found.get(faces + d - 3, 0) + 1
             return
+        want = target - faces + 3
+        # A walk that starts here was not cut, so want may be out of range.
+        if not 0 <= want <= 6 or want not in changes:
+            return
+        for d, pairing, ok in zip(changes, _PAIRINGS[len(free)], joins):
+            if d == want and ok:
+                for i, j in pairing:
+                    alpha[free[i]], alpha[free[j]] = free[j], free[i]
+                self._leaf()
+        for x in free:
+            alpha[x] = 0
+
+    def _leaf(self):
+        """Keep the connected pairing in ``alpha`` if its word is canonical."""
         least = _least_rotation(self.alpha, self.perms, stop_if_smaller=True)
         if least is not None:
-            found[tuple(self.alpha[1:])] = least[1]
+            self.found[tuple(self.alpha[1:])] = least[1]
+
+
+# The pairings of 2, 4 and 6 free half-edges in walk order, each as its
+# (i, j) pairs of positions, i < j.
+_PAIRINGS = {n: tuple(tuple((i, w[i] - 1) for i in range(n) if i < w[i] - 1)
+                      for w in involutions(n))
+             for n in (2, 4, 6)}
+# The joins of a tail whose half-edges all lie on one component.
+_CONNECTED = b"\1" * 15
+
+# The walk's tail tables.  A key packs one digit d_i + 1 per free position i
+# in 3 bits, so keys of 2, 4 and 6 positions never collide.  _FACE_CHANGES
+# maps rho (d_i = rho(i)) to the face change + 3 of each pairing, at most
+# 2 + 24 + 720 keys; _JOINS maps a component pattern (d_i = the first
+# position on the component of i) to 1 for each pairing that joins all the
+# components, at most 2 + 15 + 203 keys.  They are filled on first use and
+# kept for the life of the process: they are bounded, and a key costs about
+# 15 us to fill, so refilling them for each walk would nearly double the
+# time of a walk of |mu| = 10 (26 keys).
+_FACE_CHANGES: dict[int, bytes] = {}
+_JOINS: dict[int, bytes] = {}
+
+
+def _digits(key, n):
+    return [(key >> 3 * i & 7) - 1 for i in range(n)]
+
+
+def _fill_face_changes(key, n):
+    """Store and return the face changes of every pairing under rho = key.
+
+    Gluing i to j splits a face (+1) when they lie on one rho-cycle and
+    merges two (-1) otherwise, and swaps rho(i) and rho(j).
+    """
+    rho = _digits(key, n)
+    row = bytearray()
+    for pairing in _PAIRINGS[n]:
+        r = list(rho)
+        d = 3
+        for i, j in pairing:
+            x = r[i]
+            while x != i and x != j:
+                x = r[x]
+            d += 1 if x == j else -1
+            r[i], r[j] = r[j], r[i]
+        row.append(d)
+    _FACE_CHANGES[key] = row = bytes(row)
+    return row
+
+
+def _fill_joins(key, n):
+    """Store and return 1 per pairing that joins every component of ``key``."""
+    first = _digits(key, n)
+    row = bytearray()
+    for pairing in _PAIRINGS[n]:
+        comp = list(first)
+        for i, j in pairing:
+            old, new = comp[j], comp[i]
+            comp = [new if c == old else c for c in comp]
+        row.append(len(set(comp)) == 1)
+    _JOINS[key] = row = bytes(row)
+    return row
 
 
 def enumerate_graphs(g: int, mu) -> GraphSum:

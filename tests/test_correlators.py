@@ -197,12 +197,36 @@ def test_cache_paranoid_detects_poison(tmp_path):
         correlator(0, (4,), cache)
 
 
-def test_cache_lock_collision(tmp_path):
+def test_cache_lock_left_empty_is_broken(tmp_path):
+    # A lock is linked into place with its PID written, so an empty one is
+    # a leftover and no longer blocks every later save.
     path = tmp_path / "c.json"
+    lock = tmp_path / "c.json.lock"
+    lock.write_text("")
     cache = CorrelatorCache(str(path))
-    (tmp_path / "c.json.lock").write_text("")
-    with pytest.raises(CacheError, match="locked"):
-        cache.save()
+    correlator(0, (4, 2), cache)
+    cache.save()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    loaded = CorrelatorCache(str(path))
+    loaded.load()
+    assert loaded.table == cache.table
+
+
+def test_cache_lock_of_another_live_process_holds(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    try:
+        path = tmp_path / "c.json"
+        lock = tmp_path / "c.json.lock"
+        lock.write_text(str(child.pid))
+        cache = CorrelatorCache(str(path))
+        correlator(0, (4,), cache)
+        with pytest.raises(CacheError, match="cache is locked"):
+            cache.save()
+        assert lock.read_text() == str(child.pid)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json.lock"]
+    finally:
+        child.kill()
+        child.wait(timeout=10)
 
 
 def test_cache_lock_of_a_live_process_holds(tmp_path):

@@ -5,18 +5,20 @@ import hashlib
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import prod
 
 import pytest
 
+from fatrec import graphsum
 from fatrec.cli import main
 from fatrec.exact import TPoly
 from fatrec.graphsum import (GraphSum, _contract_at, contract_K1,
                              enumerate_graphs, graph_union, oracle_correlator,
                              oracle_correlators_all_genus,
                              relabel, verify_abstract_recursion)
-from fatrec.ribbon import FatGraph, dot_graph, involutions, loop_graph
+from fatrec.ribbon import (FatGraph, _least_rotation, _rotation_perms, dot_graph,
+                           involutions, loop_graph)
 
 
 def test_enumerate_single_loop():
@@ -265,6 +267,181 @@ def test_brute_force_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The walk's tail tables, and the walk against the one that walks every edge
+# ---------------------------------------------------------------------------
+
+def _cycle_count(perm):
+    seen, count = set(), 0
+    for x in range(len(perm)):
+        if x not in seen:
+            count += 1
+            while x not in seen:
+                seen.add(x)
+                x = perm[x]
+    return count
+
+
+def _set_partitions(n):
+    """Each set partition of range(n) as the block index of every point."""
+    def rec(prefix, blocks):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for b in range(blocks + 1):
+            yield from rec(prefix + [b], max(blocks, b + 1))
+    yield from rec([], 0)
+
+
+def _key(digits):
+    return sum((d + 1) << 3 * i for i, d in enumerate(digits))
+
+
+def test_tail_tables_match_cycle_counts_and_union_find():
+    for n in (2, 4, 6):
+        pairings = graphsum._PAIRINGS[n]
+        # The pairings as words, in the walk's order.
+        words = []
+        for pairing in pairings:
+            word = [0] * n
+            for i, j in pairing:
+                word[i], word[j] = j + 1, i + 1
+            words.append(tuple(word))
+        assert words == list(involutions(n))
+        for rho in permutations(range(n)):
+            row = (graphsum._FACE_CHANGES.get(_key(rho))
+                   or graphsum._fill_face_changes(_key(rho), n))
+            for stored, word in zip(row, words, strict=True):
+                composed = [rho[word[x] - 1] for x in range(n)]
+                assert stored - 3 == _cycle_count(composed) - _cycle_count(rho)
+        for blocks in _set_partitions(n):
+            first = [blocks.index(b) for b in blocks]
+            row = (graphsum._JOINS.get(_key(first))
+                   or graphsum._fill_joins(_key(first), n))
+            for stored, pairing in zip(row, pairings, strict=True):
+                parent = list(range(max(blocks) + 1))
+
+                def root(x):
+                    while parent[x] != x:
+                        x = parent[x]
+                    return x
+                for i, j in pairing:
+                    parent[root(blocks[i])] = root(blocks[j])
+                connected = len({root(b) for b in blocks}) == 1
+                assert stored == connected
+    assert len(graphsum._FACE_CHANGES) == 2 + 24 + 720
+    assert len(graphsum._JOINS) == 2 + 15 + 203
+
+
+class _EdgeByEdgeWalk:
+    """The pairing walk as it was before the tail tables, for reference:
+    it glues every edge, the forced last pair inline."""
+
+    __slots__ = ("alpha", "phi", "owner", "comp", "full", "target", "perms",
+                 "found")
+
+    def __init__(self, mu, target=None):
+        h = sum(mu)
+        self.alpha = [0] * (h + 1)
+        self.phi = [0] * (h + 1)
+        self.owner = [0] * (h + 1)
+        start = 1
+        for v, m in enumerate(mu):
+            for k in range(m):
+                self.phi[start + k] = start + (k + 1) % m
+                self.owner[start + k] = v
+            start += m
+        self.comp = [1 << v for v in range(len(mu))]
+        self.full = (1 << len(mu)) - 1
+        self.target = target
+        self.perms = None if target is None else _rotation_perms(mu)
+        self.found = {}
+        self._glue(1, h // 2 - 1, len(mu))
+
+    def _glue(self, a, left, faces):
+        alpha, phi, comp, owner = self.alpha, self.phi, self.comp, self.owner
+        target, full = self.target, self.full
+        cu = comp[owner[a]]
+        for b in range(a + 1, len(alpha)):
+            if alpha[b]:
+                continue
+            x = phi[a]
+            while x != a and x != b:
+                x = phi[x]
+            f = faces + 1 if x == b else faces - 1
+            if target is not None and abs(f - target) > left:
+                continue
+            cw = comp[owner[b]]
+            alpha[a], alpha[b] = b, a
+            phi[a], phi[b] = phi[b], phi[a]
+            if left == 1:
+                c = a + 1
+                while alpha[c]:
+                    c += 1
+                d = c + 1
+                while alpha[d]:
+                    d += 1
+                joined = cu | cw
+                cc, cd = comp[owner[c]], comp[owner[d]]
+                if cc & joined:
+                    cc |= joined
+                if cd & joined:
+                    cd |= joined
+                if cc | cd == full:
+                    x = phi[c]
+                    while x != c and x != d:
+                        x = phi[x]
+                    last = f + 1 if x == d else f - 1
+                    if target is None or last == target:
+                        alpha[c], alpha[d] = d, c
+                        self._leaf(last)
+                        alpha[c] = alpha[d] = 0
+            elif not left:
+                if cu | cw == full:
+                    self._leaf(f)
+            else:
+                if not cu & cw:
+                    merged = cu | cw
+                    for v, mask in enumerate(comp):
+                        if mask == cu or mask == cw:
+                            comp[v] = merged
+                nxt = a + 1
+                while alpha[nxt]:
+                    nxt += 1
+                self._glue(nxt, left - 1, f)
+                if not cu & cw:
+                    for v, mask in enumerate(comp):
+                        if mask == merged:
+                            comp[v] = cu if cu >> v & 1 else cw
+            phi[a], phi[b] = phi[b], phi[a]
+            alpha[a] = alpha[b] = 0
+
+    def _leaf(self, faces):
+        found = self.found
+        if self.target is None:
+            found[faces] = found.get(faces, 0) + 1
+            return
+        least = _least_rotation(self.alpha, self.perms, stop_if_smaller=True)
+        if least is not None:
+            found[tuple(self.alpha[1:])] = least[1]
+
+
+# |mu| = 12 and 14; the last two have more vertices than a connected graph
+# of six edges can reach, so every tail is cut by its components.
+WALK_MU = [(14,), (4, 3, 3, 2), (1, 1, 1, 1, 1, 1, 2, 2, 2),
+           (2, 1, 2, 1, 2, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("mu", WALK_MU)
+def test_walk_matches_the_edge_by_edge_walk(mu):
+    assert graphsum._Walk(mu).found == _EdgeByEdgeWalk(mu).found
+    # (14,) at genus 2 and 3 alone would take most of a second.
+    for g in range(2 if mu == (14,) else 4):
+        faces = 2 - 2 * g - len(mu) + sum(mu) // 2
+        got = graphsum._Walk(mu, faces).found
+        assert list(got.items()) == list(_EdgeByEdgeWalk(mu, faces).found.items())
 
 
 def test_enumerate_rejects_empty_mu():
