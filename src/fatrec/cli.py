@@ -12,8 +12,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .correlators import (CacheError, CorrelatorCache, correlator,
-                          free_energy, max_feasible_genus, partition_function)
+from .correlators import (CacheConflict, CacheError, CorrelatorCache,
+                          correlator, free_energy, max_feasible_genus,
+                          partition_function)
 from .exact import rat_str
 
 # the names suites.run_suite accepts; each handler imports the modules it needs
@@ -271,6 +272,9 @@ def main(argv=None) -> int:
             and cache.stored != len(cache.table)):
         try:
             cache.save()
+        except CacheConflict as exc:  # two answers for one cell
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         except CacheError as exc:
             print(f"warning: {exc}", file=sys.stderr)
     return code

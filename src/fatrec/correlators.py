@@ -48,6 +48,10 @@ class CacheError(Exception):
     """Raised when a persistent cache cannot be loaded."""
 
 
+class CacheConflict(CacheError):
+    """Raised by ``save`` when the file holds another value for a cell."""
+
+
 class CacheMismatch(CacheError, AssertionError):
     """Raised by ``--paranoid`` when a cached cell differs from its re-derivation."""
 
@@ -69,7 +73,10 @@ class CorrelatorCache:
     with entries sorted by (g, mu) and coeff = F_g^mu's coefficient; a zero
     correlator is stored with t_power 0 and coeff "0".  ``stored`` is the
     table's size when the file was last read or written (None before that),
-    so a caller can tell whether cells were added since.
+    so a caller can tell whether cells were added since.  ``save`` merges in
+    the cells another process wrote since then; ``seen`` is the (inode,
+    size, mtime) of the file as last read or written here, so a single
+    writer saves without reading the file again.
     """
 
     def __init__(self, path: str | None = None, paranoid: bool = False):
@@ -77,6 +84,7 @@ class CorrelatorCache:
         self.path = path
         self.paranoid = paranoid
         self.stored: int | None = None
+        self.seen: tuple[int, int, int] | None = None
 
     # -- persistence --------------------------------------------------------
 
@@ -89,13 +97,21 @@ class CorrelatorCache:
     def load(self) -> None:
         if not self.path or not os.path.exists(self.path):
             return
+        cells, self.seen = self._read()
+        self.table.update(cells)
+        self.stored = len(self.table)
+
+    def _read(self) -> tuple[dict, tuple[int, int, int]]:
+        """The validated cells of the file, and the file's identity as read."""
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+                seen = _identity(os.fstat(fh.fileno()))
         except (json.JSONDecodeError, OSError) as exc:
             raise CacheError(f"cannot read cache {self.path}: {exc}") from exc
         if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
             raise CacheError(f"cache version mismatch in {self.path}")
+        cells = {}
         for entry in data.get("entries", []):
             try:
                 g = int(entry["g"])
@@ -103,8 +119,8 @@ class CorrelatorCache:
                 value = _entry_count(g, mu, entry)
             except (KeyError, ValueError, TypeError) as exc:
                 raise CacheError(f"malformed cache entry: {entry!r}") from exc
-            self.table[(g, _desc(mu))] = value
-        self.stored = len(self.table)
+            cells[(g, _desc(mu))] = value
+        return cells, seen
 
     def serialize(self) -> str:
         entries = []
@@ -118,19 +134,44 @@ class CorrelatorCache:
                           separators=(",", ":"), sort_keys=True)
 
     def save(self) -> None:
+        """Write the table, with the file's cells it lacks merged in first.
+
+        The file is read again, under the lock, only when it is not the one
+        last read or written here.  A cell the file holds with another value
+        raises CacheConflict, and nothing is written.
+        """
         if not self.path:
             return
-        payload = self.serialize()
         lock = self.path + ".lock"
         _acquire(lock)
         try:
-            tmp = self.path + ".tmp"
+            self._merge()
+            tmp = f"{self.path}.{os.getpid()}.tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.write(self.serialize())
+            self.seen = _identity(os.stat(tmp))
             os.replace(tmp, self.path)
             self.stored = len(self.table)
         finally:
             os.unlink(lock)
+
+    def _merge(self) -> None:
+        try:
+            if _identity(os.stat(self.path)) == self.seen:
+                return
+        except FileNotFoundError:
+            return
+        cells, _ = self._read()
+        for key, value in cells.items():
+            if self.table.get(key, value) != value:
+                raise CacheConflict(f"cache {self.path} holds another value "
+                                    f"at {key}")
+        for key, value in cells.items():
+            self.table.setdefault(key, value)
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _acquire(lock: str) -> None:
@@ -139,8 +180,9 @@ def _acquire(lock: str) -> None:
     The PID is written to a file of its own, which is then hard-linked to
     ``lock``: the link fails if the lock exists, and a lock never exists
     without its PID.  A lock that is empty or whose PID no longer exists was
-    left by a killed run: it is unlinked and the link is tried once more.
-    A lock of a live process raises CacheError.
+    left by a killed run: it is unlinked and the link is tried once more, as
+    it is when the lock was released meanwhile.  A lock of a live process
+    raises CacheError.
     """
     own = f"{lock}.{os.getpid()}"
     with open(own, "w", encoding="ascii") as fh:
@@ -151,30 +193,54 @@ def _acquire(lock: str) -> None:
                 os.link(own, lock)
                 return
             except FileExistsError:
-                if retry or not _holder_is_dead(lock):
+                if retry or not _break_if_stale(lock):
                     raise CacheError(f"cache is locked: {lock}") from None
-                try:
-                    os.unlink(lock)
-                except FileNotFoundError:
-                    pass
     finally:
         os.unlink(own)
 
 
-def _holder_is_dead(lock: str) -> bool:
-    """True when ``lock`` is gone, empty, or names a PID that no longer exists.
+def _break_if_stale(lock: str) -> bool:
+    """Unlink ``lock`` if its holder is dead; True when it is gone.
+
+    The breaker holds an flock on the lock it judged and unlinks ``lock``
+    only while that name still leads to it.  No one else unlinks that file
+    meanwhile (its holder is dead, any other breaker waits for the flock),
+    so a lock taken since by a live process is never removed.
+    """
+    import fcntl  # here, as only a contended save needs it
+
+    try:
+        fh = open(lock, encoding="ascii")
+    except FileNotFoundError:
+        return True  # released meanwhile
+    with fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False  # another process is breaking it
+        if not _holder_is_dead(fh):
+            return False
+        try:
+            if os.path.samestat(os.fstat(fh.fileno()), os.stat(lock)):
+                os.unlink(lock)
+        except FileNotFoundError:
+            pass
+        return True
+
+
+def _holder_is_dead(fh) -> bool:
+    """True when the open lock is empty or names a PID that no longer exists.
 
     No holder leaves its lock empty, so an empty one is stale.
     """
     try:
-        with open(lock, encoding="ascii") as fh:
-            text = fh.read()
+        text = fh.read()
         if not text:
             return True
         pid = int(text)
         if pid > 0:
             os.kill(pid, 0)
-    except (FileNotFoundError, ProcessLookupError):
+    except ProcessLookupError:
         return True
     except (OSError, ValueError):  # unreadable, not a PID, or another user's process
         pass

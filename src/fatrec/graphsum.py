@@ -12,14 +12,20 @@ pairing, and the last three edges of every pairing are counted from two
 bounded tables in place of walking them edge by edge: the face change of
 each of their 15 pairings, keyed by how the open faces pass through the six
 free half-edges, and whether it connects the graph, keyed by the components
-those half-edges lie on.  The tables are filled on first use and kept for
-the process, since there are at most 746 and 220 keys and a walk of |mu| = 14
-alone would refill about 270 of them.  ``enumerate_graphs`` makes one
-canonical test per pairing of the wanted genus: since a class's first word
-met is its least, a pairing is kept only when no rotation gives a smaller
-word, and its weight 1/|Aut| comes from the rotations that give the same
-word.  Nothing here uses the correlator recursion, so the oracle stays an
-independent check of it.
+those half-edges lie on.  Once the map is connected with four edges or
+fewer left, the oracle counts them all at once: every completion of it is
+connected, and the face changes of the pairings of its free half-edges
+depend only on the cycle type of the open faces (how many free half-edges
+each holds), since relabelling the free half-edges permutes the pairings and
+keeps each face change, so a third table keyed by that cycle type gives
+their histogram.  The tables are filled on first use and kept for the
+process, since there are at most 746, 220 and 40 keys and refilling them
+would cost more than a small walk.
+``enumerate_graphs`` makes one canonical test per pairing of the wanted
+genus: since a class's first word met is its least, a pairing is kept only
+when no rotation gives a smaller word, and its weight 1/|Aut| comes from the
+rotations that give the same word.  Nothing here uses the correlator
+recursion, so the oracle stays an independent check of it.
 
 Every graph and sum derived here comes from valid parts, so it is built on
 one trusted path: graphs by ``FatGraph._make`` (``_rebuild`` renumbers the
@@ -30,6 +36,7 @@ are added.  Only the public constructors check their input.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
@@ -195,10 +202,12 @@ class _Walk:
 
     The last three edges (all of them when mu has at most six half-edges)
     are not walked: ``_tail`` reads their 15 pairings, in the same order,
-    from the tables ``_FACE_CHANGES`` and ``_JOINS``.  Each pairing is still
-    counted once.  Building a walk runs it: ``found`` maps face counts to
-    connected pairing counts or, given a target, the canonical words of that
-    face count to |Aut|.
+    from the tables ``_FACE_CHANGES`` and ``_JOINS``.  Without a target, a
+    connected map with four edges or fewer left is not walked either:
+    ``_count_by_cycle_type`` adds the face histogram of its completions from
+    ``_BY_CYCLE_TYPE``.  Each pairing is still counted once.  Building a
+    walk runs it: ``found`` maps face counts to connected pairing counts or,
+    given a target, the canonical words of that face count to |Aut|.
     """
 
     __slots__ = ("alpha", "phi", "owner", "comp", "full", "target", "perms",
@@ -230,6 +239,9 @@ class _Walk:
         alpha, phi, comp, owner = self.alpha, self.phi, self.comp, self.owner
         target = self.target
         cu = comp[owner[a]]
+        if left == 3 and target is None and cu == self.full:  # 8 free
+            self._count_by_cycle_type(a, faces)
+            return
         for b in range(a + 1, len(alpha)):
             if alpha[b]:
                 continue
@@ -261,14 +273,50 @@ class _Walk:
             phi[a], phi[b] = phi[b], phi[a]
             alpha[a] = alpha[b] = 0
 
+    def _count_by_cycle_type(self, a, faces):
+        """Count the completions of a connected map, a the smallest of its
+        free half-edges, of which there are at most eight.
+
+        Every completion is connected, and the face changes of the pairings
+        depend on rho only through its cycle type: how many free half-edges
+        lie on each face that still has any.
+        """
+        alpha, phi = self.alpha, self.phi
+        lengths = []
+        seen = 0
+        for x in range(a, len(alpha)):
+            if alpha[x] or seen >> x & 1:
+                continue
+            n = 1
+            y = phi[x]
+            while y != x:
+                if not alpha[y]:
+                    n += 1
+                    seen |= 1 << y
+                y = phi[y]
+            lengths.append(n)
+        lengths.sort()
+        key = tuple(lengths)
+        histogram = _BY_CYCLE_TYPE.get(key)
+        if histogram is None:
+            histogram = _BY_CYCLE_TYPE[key] = _cycle_type_histogram(key)
+        found = self.found
+        for d, k in histogram:
+            found[faces + d] = found.get(faces + d, 0) + k
+
     def _tail(self, a, faces):
         """Count the pairings of the free half-edges, a the smallest of them.
 
         rho, the first return of phi to the free half-edges, gives the face
         change of every pairing; the components they lie on give the
-        pairings that connect the graph.
+        pairings that connect the graph.  Without a target, a connected map
+        is counted by the cycle type of rho instead.
         """
         alpha, phi, comp, owner = self.alpha, self.phi, self.comp, self.owner
+        target = self.target
+        if target is None and comp[owner[a]] == self.full:
+            self._count_by_cycle_type(a, faces)
+            return
         free = [x for x in range(a, len(alpha)) if not alpha[x]]
         key = shift = 0
         for x in free:
@@ -289,17 +337,11 @@ class _Walk:
             if union != self.full:
                 return
             joins = _JOINS.get(key) or _fill_joins(key, len(free))
-        found, target = self.found, self.target
         if target is None:
-            if joins is _CONNECTED:
-                for d in range(7):
-                    k = changes.count(d)
-                    if k:
-                        found[faces + d - 3] = found.get(faces + d - 3, 0) + k
-            else:
-                for d, ok in zip(changes, joins):
-                    if ok:
-                        found[faces + d - 3] = found.get(faces + d - 3, 0) + 1
+            found = self.found
+            for d, ok in zip(changes, joins):
+                if ok:
+                    found[faces + d - 3] = found.get(faces + d - 3, 0) + 1
             return
         want = target - faces + 3
         # A walk that starts here was not cut, so want may be out of range.
@@ -320,11 +362,16 @@ class _Walk:
             self.found[tuple(self.alpha[1:])] = least[1]
 
 
-# The pairings of 2, 4 and 6 free half-edges in walk order, each as its
-# (i, j) pairs of positions, i < j.
-_PAIRINGS = {n: tuple(tuple((i, w[i] - 1) for i in range(n) if i < w[i] - 1)
-                      for w in involutions(n))
-             for n in (2, 4, 6)}
+def _pairings_of(n):
+    """The pairings of n free half-edges in walk order, each as its (i, j)
+    pairs of positions, i < j."""
+    return tuple(tuple((i, w[i] - 1) for i in range(n) if i < w[i] - 1)
+                 for w in involutions(n))
+
+
+# The pairings of 2, 4 and 6 positions.  Those of 8 are built for each of
+# the at most 22 fills of _BY_CYCLE_TYPE and not kept.
+_PAIRINGS = {n: _pairings_of(n) for n in (2, 4, 6)}
 # The joins of a tail whose half-edges all lie on one component.
 _CONNECTED = b"\1" * 15
 
@@ -333,38 +380,63 @@ _CONNECTED = b"\1" * 15
 # maps rho (d_i = rho(i)) to the face change + 3 of each pairing, at most
 # 2 + 24 + 720 keys; _JOINS maps a component pattern (d_i = the first
 # position on the component of i) to 1 for each pairing that joins all the
-# components, at most 2 + 15 + 203 keys.  They are filled on first use and
-# kept for the life of the process: they are bounded, and a key costs about
-# 15 us to fill, so refilling them for each walk would nearly double the
-# time of a walk of |mu| = 10 (26 keys).
+# components, at most 2 + 15 + 203 keys.  _BY_CYCLE_TYPE maps the cycle type
+# of a rho on 2, 4, 6 or 8 positions, its cycle lengths sorted, to the
+# (face change, pairings) pairs of its pairings, at most p(2) + p(4) + p(6)
+# + p(8) = 2 + 5 + 11 + 22 keys: conjugating by a permutation of the
+# positions maps the pairings onto themselves and keeps every face change,
+# and two rho of one cycle type are conjugate.  The oracle reads it for every
+# connected tail, so it reads the other two only for the tails of
+# enumerate_graphs and of maps not yet connected.  They are filled on first
+# use and kept for the life of the
+# process: they are bounded, and a key costs about 15 us to fill (an eight-
+# point one about 0.6 ms), so refilling them for each walk would take the
+# oracle of (10,) from 0.1 to 3.5 ms (5 keys) and that of (14,) from 6 to
+# 15 ms (15 keys).
 _FACE_CHANGES: dict[int, bytes] = {}
 _JOINS: dict[int, bytes] = {}
+_BY_CYCLE_TYPE: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
 
 
 def _digits(key, n):
     return [(key >> 3 * i & 7) - 1 for i in range(n)]
 
 
-def _fill_face_changes(key, n):
-    """Store and return the face changes of every pairing under rho = key.
+def _face_changes(rho):
+    """The face change of each pairing of the positions of rho, in walk order.
 
     Gluing i to j splits a face (+1) when they lie on one rho-cycle and
     merges two (-1) otherwise, and swaps rho(i) and rho(j).
     """
-    rho = _digits(key, n)
-    row = bytearray()
-    for pairing in _PAIRINGS[n]:
+    n = len(rho)
+    for pairing in _PAIRINGS[n] if n in _PAIRINGS else _pairings_of(n):
         r = list(rho)
-        d = 3
+        d = 0
         for i, j in pairing:
             x = r[i]
             while x != i and x != j:
                 x = r[x]
             d += 1 if x == j else -1
             r[i], r[j] = r[j], r[i]
-        row.append(d)
-    _FACE_CHANGES[key] = row = bytes(row)
+        yield d
+
+
+def _fill_face_changes(key, n):
+    """Store and return the face change + 3 of every pairing under rho = key."""
+    _FACE_CHANGES[key] = row = bytes(3 + d for d in _face_changes(_digits(key, n)))
     return row
+
+
+def _cycle_type_histogram(lengths):
+    """The (face change, pairings) pairs, sorted, of any rho whose cycles
+    have the given lengths, counted on the one whose cycles run through
+    consecutive positions."""
+    rho, start = [], 0
+    for n in lengths:
+        rho += range(start + 1, start + n)
+        rho.append(start)
+        start += n
+    return tuple(sorted(Counter(_face_changes(rho)).items()))
 
 
 def _fill_joins(key, n):

@@ -1,7 +1,9 @@
 """Named verification suites shared by the CLI and the acceptance tests.
 
 Each suite returns a SuiteReport whose ``violations`` list is empty exactly
-when the checked identity holds at the requested bounds.
+when the checked identity holds at the requested bounds.  Bounds that leave
+the oracle, virasoro, commutators, heisenberg or cutjoin suite nothing to
+check raise ValueError, so these do not pass vacuously.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from .npoint import qsc_residual, w_from_correlators, NPointRecursion
 from .virasoro import (SuiteReport, commutator_check, heisenberg_check,
                        spectral_curve_check, verify_virasoro,
                        y_squared_negative_part)
+
+
+def _require_checks(checked: int, suite: str) -> None:
+    if not checked:
+        raise ValueError(f"suite {suite} has nothing to check at these bounds")
 
 
 def abstract_recursion_suite(max_size: int = 8, max_parts: int = 3) -> SuiteReport:
@@ -56,6 +63,7 @@ def oracle_suite(max_size: int = 12, max_parts: int = 4,
                 if lhs != rhs:
                     violations.append({"g": g, "mu": list(mu),
                                        "recursion": str(lhs), "oracle": str(rhs)})
+    _require_checks(checked, "oracle")
     status = "pass" if not violations else "fail"
     return SuiteReport("oracle", {"max_size": max_size, "max_parts": max_parts,
                                   "checked": checked}, status, violations)
@@ -79,6 +87,7 @@ def commutator_suite(m_max: int = 4, weight_bound: int = 8,
                 checked += 1
                 if not commutator_check(m, n, probe):
                     violations.append({"m": m, "n": n, "probe": str(probe)})
+    _require_checks(checked, "commutators")
     status = "pass" if not violations else "fail"
     return SuiteReport("commutators", {"m_max": m_max,
                                        "weight_bound": weight_bound,
@@ -106,6 +115,7 @@ def heisenberg_suite(index_bound: int = 6, panel_size: int = 12,
                 checked += 1
                 if not heisenberg_check(m, n, probe):
                     violations.append({"m": m, "n": n, "probe": str(probe)})
+    _require_checks(checked, "heisenberg")
     status = "pass" if not violations else "fail"
     return SuiteReport("heisenberg", {"index_bound": index_bound,
                                       "panel": len(probes),
@@ -115,6 +125,8 @@ def heisenberg_suite(index_bound: int = 6, panel_size: int = 12,
 def cutjoin_suite(max_weight: int = 4,
                   cache: CorrelatorCache | None = None) -> SuiteReport:
     """exp(M)(1) against the recursion-built partition function at gs = 1."""
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
     violations = []
     for d in range(0, max_weight + 1):
         lhs = exp_M_vacuum(d)

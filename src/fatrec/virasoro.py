@@ -115,6 +115,8 @@ def verify_virasoro(m_max: int, max_weight: int,
                     cache: CorrelatorCache | None = None) -> SuiteReport:
     """Assert that every reliable component of L_m Z vanishes, -1 <= m <= m_max."""
     from .correlators import partition_function
+    if m_max < -1:
+        raise ValueError("m_max must be >= -1")
     z = partition_function(max_weight, cache)
     violations = []
     checks = []

@@ -244,6 +244,49 @@ def test_cache_command_loads_the_file_twice(tmp_path, capsys, monkeypatch, no_ca
     assert capsys.readouterr().out == f"cache path={path} entries=3 status=pass\n"
 
 
+def test_cache_cell_of_another_value_is_an_error(tmp_path, capsys, monkeypatch):
+    # Another process writes C_1(4) + 1 between this run's load and save.
+    from fatrec import cli
+    path = str(tmp_path / "c.json")
+    assert main(["correlator", "--g", "1", "--mu", "4", "--no-cache"]) == 0
+    answer = capsys.readouterr().out
+    run = cli._cmd_correlator
+
+    def run_then_write(args, cache):
+        code = run(args, cache)
+        other = CorrelatorCache(path)
+        other.table[(1, (4,))] = cache.table[(1, (4,))] + 1
+        other.save()
+        return code
+    monkeypatch.setattr(cli, "_cmd_correlator", run_then_write)
+    assert main(["correlator", "--g", "1", "--mu", "4", "--cache-path", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == answer
+    assert err.startswith("error: ") and "another value" in err
+    assert err.count("\n") == 1
+    other = CorrelatorCache(path)
+    other.load()
+    assert list(other.table) == [(1, (4,))]  # the other process's file, untouched
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
+
+# bounds that leave a suite nothing to check
+@pytest.mark.parametrize("args", [
+    ["--suite", "oracle", "--max-weight", "-2"],
+    ["--suite", "virasoro", "--m-max", "-3"],
+    ["--suite", "commutators", "--m-max", "-2"],
+    ["--suite", "heisenberg", "--m-max", "-1"],
+    ["--suite", "cutjoin", "--max-weight", "-1"],
+])
+def test_vacuous_suite_one_line_exit_2(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify"] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_suite_choices_are_the_names_run_suite_accepts():
     from fatrec import suites
     assert len(set(SUITE_NAMES)) == len(SUITE_NAMES)

@@ -1,5 +1,6 @@
 """Production correlators, free energies, partition function, cache."""
 
+import fcntl
 import gc
 import hashlib
 import json
@@ -259,6 +260,126 @@ def test_cache_lock_of_a_dead_process_is_broken(tmp_path, monkeypatch):
     loaded = CorrelatorCache(str(path))
     loaded.load()
     assert loaded.table == cache.table
+
+
+def test_cache_stale_lock_retaken_meanwhile_is_kept(tmp_path, monkeypatch):
+    # A live process takes the lock between the breaker's judgement of the
+    # stale one and its unlink: the breaker leaves the new lock alone.
+    lock = tmp_path / "c.json.lock"
+    lock.write_text("")
+    judge = core._holder_is_dead
+
+    def judge_then_retake(fh):
+        dead = judge(fh)
+        lock.unlink()
+        lock.write_text(str(os.getpid()))
+        return dead
+    monkeypatch.setattr(core, "_holder_is_dead", judge_then_retake)
+    assert core._break_if_stale(str(lock))
+    assert lock.read_text() == str(os.getpid())
+
+
+def test_cache_lock_released_meanwhile_is_not_broken(tmp_path):
+    lock = tmp_path / "c.json.lock"
+    assert core._break_if_stale(str(lock))  # gone: take it with the next link
+    lock.write_text("")
+    with open(lock) as held:
+        fcntl.flock(held, fcntl.LOCK_EX)  # another breaker's flock
+        assert not core._break_if_stale(str(lock))
+    assert lock.exists()
+
+
+def test_cache_save_keeps_the_cells_of_another_writer(tmp_path):
+    path = str(tmp_path / "c.json")
+    seed = CorrelatorCache(path)
+    correlator(0, (2,), seed)
+    seed.save()
+    first, second = CorrelatorCache(path), CorrelatorCache(path)
+    first.load()
+    second.load()
+    correlator(1, (4,), first)
+    correlator(0, (3, 1), second)
+    first.save()
+    second.save()  # the file changed since second read it
+    merged = CorrelatorCache(path)
+    merged.load()
+    assert (1, (4,)) in merged.table and (0, (3, 1)) in merged.table
+    assert merged.table == {**first.table, **second.table}
+    assert second.table == merged.table
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_cache_save_refuses_a_cell_of_another_value(tmp_path):
+    path = tmp_path / "c.json"
+    other = CorrelatorCache(str(path))
+    correlator(0, (4,), other)
+    other.save()
+    before = path.read_bytes()
+    cache = CorrelatorCache(str(path))
+    correlator(0, (2,), cache)
+    cache.table[(0, (4,))] = 3  # C_0(4) = 2 in the file
+    with pytest.raises(CacheError, match="another value"):
+        cache.save()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_cache_single_writer_does_not_read_its_file_again(tmp_path, monkeypatch):
+    path = str(tmp_path / "c.json")
+    reads = []
+    read = CorrelatorCache._read
+    monkeypatch.setattr(CorrelatorCache, "_read",
+                        lambda self: (reads.append(self), read(self))[1])
+    cache = CorrelatorCache(path)
+    correlator(0, (4,), cache)
+    cache.save()
+    correlator(1, (4,), cache)
+    cache.save()
+    cache.load()
+    correlator(0, (6,), cache)
+    cache.save()
+    assert reads == [cache]  # the load only
+    other = CorrelatorCache(path)
+    correlator(0, (8,), other)
+    other.save()  # reads the file it never saw
+    cache.save()  # reads it again: other wrote it
+    assert reads == [cache, other, cache]
+    assert (0, (8,)) in cache.table
+
+
+# One writer process: load, derive a cell of its own, save, retrying while
+# another holds the lock.
+_WRITER = """
+import sys, time
+from fatrec.correlators import CacheError, CorrelatorCache, correlator
+cache = CorrelatorCache(sys.argv[1])
+cache.load()
+correlator(0, (int(sys.argv[2]),), cache)
+deadline = time.monotonic() + 20
+while True:
+    try:
+        cache.save()
+        break
+    except CacheError as exc:
+        if "locked" not in str(exc) or time.monotonic() > deadline:
+            raise
+        time.sleep(0.001)
+"""
+
+
+def test_cache_concurrent_writers_lose_no_cell(tmp_path):
+    path = str(tmp_path / "c.json")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(core.__file__)))
+    sizes = (10, 12, 14, 16, 18)  # more writers than cores
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, path, str(m)], env=env)
+             for m in sizes]
+    for proc in procs:
+        assert proc.wait(timeout=60) == 0
+    merged = CorrelatorCache(path)
+    merged.load()
+    for m in sizes:
+        assert merged.table[(0, (m,))] == core.gluing_count(0, (m,), CorrelatorCache())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_cache_load_rejects_selection_rule_violation(tmp_path):

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -442,6 +443,81 @@ def test_walk_matches_the_edge_by_edge_walk(mu):
         faces = 2 - 2 * g - len(mu) + sum(mu) // 2
         got = graphsum._Walk(mu, faces).found
         assert list(got.items()) == list(_EdgeByEdgeWalk(mu, faces).found.items())
+
+
+# The oracle's count by cycle type: mu with one or two vertices reach it on
+# most branches, (6, 4, 2) on some.  (14,) and (4, 3, 3, 2) are compared in
+# the test above.
+@pytest.mark.parametrize("mu", [(12,), (10,), (8, 6), (10, 4), (6, 4, 2)])
+def test_oracle_matches_the_edge_by_edge_walk(mu):
+    assert graphsum._Walk(mu).found == _EdgeByEdgeWalk(mu).found
+
+
+def test_oracle_gives_harer_zagier_at_sixteen_half_edges():
+    # one-vertex maps with 8 edges by genus, epsilon_g(8) (Harer and Zagier,
+    # Invent. Math. 85, 1986); genus g has 9 - 2g faces
+    found = graphsum._Walk((16,)).found
+    assert found == {9: 1430, 7: 60060, 5: 570570, 3: 1169740, 1: 225225}
+
+
+def _cycle_type(perm):
+    seen, lengths = set(), []
+    for x in range(len(perm)):
+        if x not in seen:
+            n = 0
+            while x not in seen:
+                seen.add(x)
+                x = perm[x]
+                n += 1
+            lengths.append(n)
+    return tuple(sorted(lengths))
+
+
+def test_cycle_type_histograms_match_the_exact_rho_rows():
+    for n in (2, 4, 6):
+        for rho in permutations(range(n)):
+            row = (graphsum._FACE_CHANGES.get(_key(rho))
+                   or graphsum._fill_face_changes(_key(rho), n))
+            counts = {}
+            for stored in row:
+                counts[stored - 3] = counts.get(stored - 3, 0) + 1
+            got = graphsum._cycle_type_histogram(_cycle_type(rho))
+            assert got == tuple(sorted(counts.items()))
+
+
+def test_cycle_type_table_matches_conjugates_and_stays_bounded():
+    rng = random.Random(8)
+    words = list(involutions(8))
+    types = sorted(p[::-1] for p in _partitions(8))
+    assert len(types) == 22
+    for lengths in types:
+        stored = graphsum._BY_CYCLE_TYPE.get(lengths)
+        if stored is None:
+            stored = graphsum._BY_CYCLE_TYPE[lengths] = \
+                graphsum._cycle_type_histogram(lengths)
+        rho0, start = [], 0
+        for n in lengths:
+            rho0 += list(range(start + 1, start + n)) + [start]
+            start += n
+        for _ in range(20):
+            pi = list(range(8))
+            rng.shuffle(pi)
+            rho = [0] * 8
+            for x in range(8):
+                rho[pi[x]] = pi[rho0[x]]
+            assert _cycle_type(rho) == lengths
+            before = _cycle_count(rho)
+            counts = {}
+            for word in words:
+                d = _cycle_count([rho[word[x] - 1] for x in range(8)]) - before
+                counts[d] = counts.get(d, 0) + 1
+            assert tuple(sorted(counts.items())) == stored, lengths
+    # walks add only the cycle types of 2, 4 and 6 positions
+    for mu in [(14,), (8, 6), (6, 4, 2), (4,), (6,), (2, 2, 2), (3, 3)]:
+        graphsum._Walk(mu)
+    smaller = {p[::-1] for n in (2, 4, 6) for p in _partitions(n)}
+    assert set(graphsum._BY_CYCLE_TYPE) - set(types) <= smaller
+    assert len(graphsum._BY_CYCLE_TYPE) <= 2 + 5 + 11 + 22
 
 
 def test_enumerate_rejects_empty_mu():
