@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 from fractions import Fraction
 from math import comb, gcd, prod
 from typing import Iterable
@@ -174,27 +175,38 @@ def _identity(st: os.stat_result) -> tuple[int, int, int]:
     return st.st_ino, st.st_size, st.st_mtime_ns
 
 
+# How long a save waits for a live process to release the lock, and how
+# often it looks: a save holds the lock for a few ms, so processes that
+# finish together all land their cells.
+_LOCK_WAIT_S = 2.0
+_LOCK_POLL_S = 0.005
+
+
 def _acquire(lock: str) -> None:
     """Take ``lock``, a file that holds this process's PID from the start.
 
     The PID is written to a file of its own, which is then hard-linked to
     ``lock``: the link fails if the lock exists, and a lock never exists
     without its PID.  A lock that is empty or whose PID no longer exists was
-    left by a killed run: it is unlinked and the link is tried once more, as
-    it is when the lock was released meanwhile.  A lock of a live process
-    raises CacheError.
+    left by a killed run: it is unlinked and the link is tried again at
+    once, as it is when the lock was released meanwhile.  A lock of a live
+    process is polled for up to _LOCK_WAIT_S, then raises CacheError.
     """
     own = f"{lock}.{os.getpid()}"
     with open(own, "w", encoding="ascii") as fh:
         fh.write(str(os.getpid()))
+    deadline = time.monotonic() + _LOCK_WAIT_S
     try:
-        for retry in (False, True):
+        while True:
             try:
                 os.link(own, lock)
                 return
             except FileExistsError:
-                if retry or not _break_if_stale(lock):
-                    raise CacheError(f"cache is locked: {lock}") from None
+                if _break_if_stale(lock):
+                    continue
+            if time.monotonic() > deadline:
+                raise CacheError(f"cache is locked: {lock}")
+            time.sleep(_LOCK_POLL_S)
     finally:
         os.unlink(own)
 

@@ -28,10 +28,22 @@ rotations that give the same word.  Nothing here uses the correlator
 recursion, so the oracle stays an independent check of it.
 
 Every graph and sum derived here comes from valid parts, so it is built on
-one trusted path: graphs by ``FatGraph._make`` (``_rebuild`` renumbers the
-half-edges of a contraction, union or relabelling; the walk's words come
-out whole) and sums by ``GraphSum._of``, through ``_summed`` wherever terms
+one trusted path: graphs by ``FatGraph._make`` (``_renumbered`` renumbers
+the half-edges of a contraction, union or relabelling; the walk's words come
+out whole) and sums by ``GraphSum._of``, through ``_added`` wherever terms
 are added.  Only the public constructors check their input.
+
+The recursion is checked on classes: a class is the key (mu, labels, word),
+its word the least rotation of alpha.  Each contraction's word is
+canonicalised once, a union of two classes is a class with no rotation
+tried (``_union``), each (g, mu) is enumerated once per right-hand side, and
+coefficients are added per key; a graph is built per class only for a
+GraphSum that is returned or a mismatch that is reported.
+``FatGraph._make`` is given a word only when it is alpha's least rotation,
+and a graph given its word at birth has an alpha that is its own least
+rotation (an enumerated class, a contraction, a union of such graphs, a
+class of the recursion), except that a relabelled graph keeps the alpha
+and the word of its source.
 """
 
 from __future__ import annotations
@@ -128,37 +140,95 @@ class GraphSum:
         return f"GraphSum({self})"
 
 
+def _added(terms) -> dict:
+    """{key: coeff} of (key, Fraction) terms: equal keys added, zeros dropped."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
 def _summed(terms) -> GraphSum:
     """The GraphSum of (graph, Fraction) terms: equal graphs added, zeros dropped."""
-    out: dict[FatGraph, Fraction] = {}
-    for gr, c in terms:
-        out[gr] = out.get(gr, 0) + c
-    return GraphSum._of({gr: c for gr, c in out.items() if c})
+    return GraphSum._of(_added(terms))
 
 
-def _rebuild(pieces, alpha) -> FatGraph:
-    """Renumber half-edges into a fresh FatGraph, vertices sorted by label.
+# A class (mu, labels, word) is a labelled graph up to rotation, given by
+# its canonical word: the least rotation of its alpha.
 
-    ``pieces`` lists (label, old half-edge ids in rotation order), one per
-    vertex; ``alpha[x]`` is the old id paired with old id x.
+def _key(gr: FatGraph) -> tuple:
+    return gr.mu, gr.labels, gr.canonical_word()
+
+
+def _graph(key) -> FatGraph:
+    """The graph of a class, born with its word as alpha."""
+    mu, labels, word = key
+    return FatGraph._make(mu, word, labels, word)
+
+
+def _graphs(coeffs: dict) -> GraphSum:
+    """The GraphSum of {class: coeff}, one graph per class."""
+    return GraphSum._of({_graph(key): c for key, c in coeffs.items()})
+
+
+def _blocks_of(mu) -> list[range]:
+    """The half-edges of each vertex, numbered from 1 in the order of mu."""
+    blocks, start = [], 1
+    for m in mu:
+        blocks.append(range(start, start + m))
+        start += m
+    return blocks
+
+
+def _renumbered(blocks, alpha) -> list[int]:
+    """The word, 0 at index 0, of alpha on the half-edges of ``blocks``
+    renumbered 1, 2, ... in that order.
+
+    ``blocks`` lists old half-edge ids, vertex by vertex in rotation order;
+    ``alpha[x]`` is the old id paired with old id x.
     """
-    pieces = sorted(pieces, key=lambda p: p[0])
-    order = [old for _, seq in pieces for old in seq]
+    order = [x for block in blocks for x in block]
     new_id = dict(zip(order, range(1, len(order) + 1)))
-    return FatGraph._make(tuple(len(seq) for _, seq in pieces),
-                          tuple(new_id[alpha[old]] for old in order),
-                          tuple(lab for lab, _ in pieces))
+    return [0] + [new_id[alpha[x]] for x in order]
+
+
+def _by_label(mu, labels, alpha) -> tuple:
+    """(mu, labels, alpha) with the vertices sorted by label; ``alpha``
+    holds the word at index x and 0 at index 0."""
+    pieces = sorted(zip(labels, _blocks_of(mu)))
+    blocks = [block for _, block in pieces]
+    return (tuple(map(len, blocks)), tuple(lab for lab, _ in pieces),
+            tuple(_renumbered(blocks, alpha)[1:]))
+
+
+def _union(part1, part2) -> tuple:
+    """(mu, labels, alpha) of the disjoint union of two (mu, labels, alpha).
+
+    Two canonical classes with sorted labels give a canonical one: a
+    rotation moves the positions and values of its own part only, and the
+    renumbering is increasing on each part, so the least word of the union
+    is the union of the least words.
+    """
+    (mu1, labels1, w1), (mu2, labels2, w2) = part1, part2
+    shift = len(w1)
+    return _by_label(mu1 + mu2, labels1 + labels2,
+                     (0,) + w1 + tuple(x + shift for x in w2))
+
+
+def _is_least(gr: FatGraph) -> bool:
+    """Whether gr's labels are sorted and its alpha is its least rotation."""
+    return (gr.labels == tuple(sorted(gr.labels))
+            and gr.canonical_word() == gr.alpha)
 
 
 def graph_union(g1: FatGraph, g2: FatGraph) -> FatGraph:
     """Disjoint union; vertices re-sorted by label."""
     if set(g1.labels) & set(g2.labels):
         raise ValueError("label sets overlap")
-    shift = g1.n_half_edges
-    pieces = [(lab, g1.block(i)) for i, lab in enumerate(g1.labels)]
-    pieces += [(lab, tuple(h + shift for h in g2.block(i)))
-               for i, lab in enumerate(g2.labels)]
-    return _rebuild(pieces, (0,) + g1.alpha + tuple(h + shift for h in g2.alpha))
+    mu, labels, alpha = _union((g1.mu, g1.labels, g1.alpha),
+                               (g2.mu, g2.labels, g2.alpha))
+    least = _is_least(g1) and _is_least(g2)
+    return FatGraph._make(mu, alpha, labels, alpha if least else None)
 
 
 def relabel_graph(gr: FatGraph, new_labels: set[int] | list[int]) -> FatGraph:
@@ -166,9 +236,13 @@ def relabel_graph(gr: FatGraph, new_labels: set[int] | list[int]) -> FatGraph:
     new = sorted(new_labels)
     if len(new) != gr.n_vertices:
         raise ValueError("label count mismatch")
+    if gr.labels == tuple(sorted(gr.labels)):
+        # The vertices keep their order, so mu, alpha and its least word stay.
+        return FatGraph._make(gr.mu, gr.alpha, tuple(new), gr._canon)
     mapping = dict(zip(sorted(gr.labels), new))
-    return _rebuild([(mapping[lab], gr.block(i)) for i, lab in enumerate(gr.labels)],
-                    (0,) + gr.alpha)
+    mu, labels, alpha = _by_label(gr.mu, [mapping[lab] for lab in gr.labels],
+                                  (0,) + gr.alpha)
+    return FatGraph._make(mu, alpha, labels)
 
 
 def relabel(s: GraphSum, index_set) -> GraphSum:
@@ -459,19 +533,23 @@ def enumerate_graphs(g: int, mu) -> GraphSum:
     The walk meets the words of a class in lexicographic order, so a
     connected genus-g pairing is kept only when no rotation gives a smaller
     word: it is then the class's canonical word, and the rotations that fix
-    it number |Aut|.
+    it number |Aut|.  Each graph is born with that word as its alpha.
     """
     mu = _valences(mu)
     if mu == (0,):
         return GraphSum._of({dot_graph(1): Fraction(1)} if g == 0 else {})
+    labels = tuple(range(1, len(mu) + 1))
+    return GraphSum._of({FatGraph._make(mu, word, labels, word): Fraction(1, aut)
+                         for word, aut in _classes(g, mu).items()})
+
+
+def _classes(g: int, mu: tuple[int, ...]) -> dict:
+    """{canonical word: |Aut|} of the connected genus-g classes of mu, a
+    valence vector other than (0,)."""
     h = sum(mu)
     if h % 2 or g < 0:
-        return GraphSum.zero()
-    faces = 2 - 2 * g - len(mu) + h // 2
-    walk = _Walk(mu, faces)
-    labels = tuple(range(1, len(mu) + 1))
-    return GraphSum._of({FatGraph._make(mu, word, labels): Fraction(1, aut)
-                         for word, aut in walk.found.items()})
+        return {}
+    return _Walk(mu, 2 - 2 * g - len(mu) + h // 2).found
 
 
 def oracle_correlators_all_genus(mu) -> dict[int, TPoly]:
@@ -505,36 +583,37 @@ def oracle_correlator(g: int, mu) -> TPoly:
 # Edge contraction
 # ---------------------------------------------------------------------------
 
-def _after(gr: FatGraph, x: int) -> tuple[int, ...]:
-    """The half-edges after x at its vertex, in rotation order, x left out."""
-    block = gr.block(gr.vertex_of(x))
+def _after(block, x: int) -> tuple[int, ...]:
+    """The half-edges after x in its block, in rotation order, x left out."""
     i = x - block[0]
     return block[i + 1:] + block[:i]
 
 
-def _contract_at(gr: FatGraph, h: int) -> FatGraph:
-    """The graph obtained by contracting the edge holding half-edge h at v_1.
+def _contracted(blocks, owner, alpha, h: int) -> tuple:
+    """(mu, alpha) of the graph obtained by contracting the edge holding
+    half-edge h of v_1, the vertex of ``blocks[0]``.
 
-    An edge to another vertex merges its ends into a new v_1 (Whitehead
-    collapse); a loop splits v_1, the side right after h becoming the new
-    v_1.  The other vertices keep their blocks and order and take the next
-    labels.
+    ``owner`` and ``alpha`` are a graph's ``_owner`` and its word with 0 at
+    index 0, which the returned alpha also has.  An edge to another vertex
+    merges its ends into a new v_1 (Whitehead collapse); a loop splits v_1,
+    the side right after h becoming the new v_1.  The other vertices keep
+    their blocks and order.
     """
-    hp = gr.alpha_of(h)
-    p1, pj = gr.vertex_of(h), gr.vertex_of(hp)
-    after = _after(gr, h)
-    if p1 == pj:
+    hp = alpha[h]
+    pj = owner[hp]
+    after = _after(blocks[0], h)
+    if not pj:
         k = after.index(hp)
         head = [after[:k], after[k + 1:]]
     else:
-        head = [after + _after(gr, hp)]
-    blocks = head + [gr.block(v) for v in range(gr.n_vertices) if v not in (p1, pj)]
-    return _rebuild(list(enumerate(blocks, 1)), (0,) + gr.alpha)
+        head = [after + _after(blocks[pj], hp)]
+    pieces = head + [block for v, block in enumerate(blocks) if v and v != pj]
+    return tuple(map(len, pieces)), _renumbered(pieces, alpha)
 
 
-def contract_K1(s: GraphSum) -> GraphSum:
-    """Edge-contracting operator: sum of contractions over half-edges at v_1."""
-    terms = []
+def _contraction_terms(s: GraphSum):
+    """Yield the (class, coeff) terms of K1 s, each contraction's word
+    canonicalised once; a class may repeat."""
     for gr, c in s.terms.items():
         if 1 not in gr.labels:
             raise ValueError("graph has no vertex labelled v1")
@@ -543,8 +622,16 @@ def contract_K1(s: GraphSum) -> GraphSum:
             raise ValueError("nothing to contract")
         if gr.labels != tuple(range(1, gr.n_vertices + 1)):
             raise ValueError("contraction requires standard labels 1..n")
-        terms += [(_contract_at(gr, h), c) for h in gr.block(p1)]
-    return _summed(terms)
+        blocks, owner, alpha = gr._blocks, gr._owner, (0,) + gr.alpha
+        for h in blocks[0]:
+            mu, word = _contracted(blocks, owner, alpha, h)
+            least, _ = _least_rotation(word, _rotation_perms(mu))
+            yield (mu, tuple(range(1, len(mu) + 1)), tuple(least[1:])), c
+
+
+def contract_K1(s: GraphSum) -> GraphSum:
+    """Edge-contracting operator: sum of contractions over half-edges at v_1."""
+    return _graphs(_added(_contraction_terms(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -576,29 +663,44 @@ class RecursionReport:
 
 def recursion_rhs(g: int, mu) -> GraphSum:
     """Right-hand side of the contraction recursion, as labelled graph sums."""
-    return _summed(_rhs_terms(g, tuple(int(m) for m in mu)))
+    return _graphs(_added(_rhs_terms(g, tuple(int(m) for m in mu), {})))
 
 
-def _rhs_terms(g: int, mu: tuple[int, ...]):
-    """Yield the (graph, coeff) terms of recursion_rhs; a graph may repeat."""
+def _enumerated(g: int, mu: tuple[int, ...], memo: dict) -> list:
+    """The (word, 1/|Aut|) pairs of enumerate_graphs(g, mu), mu not (0,),
+    walked once per ``memo``."""
+    found = memo.get((g, mu))
+    if found is None:
+        found = memo[g, mu] = [(word, Fraction(1, aut)) for word, aut
+                               in _classes(g, _valences(mu)).items()]
+    return found
+
+
+def _rhs_terms(g: int, mu: tuple[int, ...], memo: dict):
+    """Yield the (class, coeff) terms of recursion_rhs; a class may repeat.
+
+    ``memo`` keeps the classes of each (genus, mu) enumerated, for one call.
+    """
     n = len(mu)
     rest = mu[1:]
     one = Fraction(1)
 
     if g == 0 and n == 1 and mu[0] == 2:
-        yield graph_union(dot_graph(1), dot_graph(2)), one
+        yield _union(_key(dot_graph(1)), _key(dot_graph(2))), one
 
     for j in range(2, n + 1):
         m0 = mu[0] + mu[j - 1] - 2
         new_mu = (m0,) + tuple(mu[i - 1] for i in range(2, n + 1) if i != j)
         if m0 > 0:
-            yield from enumerate_graphs(g, new_mu).scale(m0).terms.items()
+            labels = tuple(range(1, n))
+            for word, c in _enumerated(g, new_mu, memo):
+                yield (new_mu, labels, word), c * m0
         elif m0 == 0 and n == 2 and g == 0:
             # Contracting the dumbbell leaves the single valence-0 vertex.
             # The displayed coefficient m0 is 0 here and would drop it, yet
             # the dumbbell is one graph with one face, so F_0^(1,1) = t needs
             # this term with coefficient 1.
-            yield dot_graph(1), one
+            yield _key(dot_graph(1)), one
 
     rest_indices = list(range(2, n + 1))
     for a in range(1, mu[0] - 2):
@@ -606,44 +708,55 @@ def _rhs_terms(g: int, mu: tuple[int, ...]):
         if b < 1:
             continue
         coeff = a * b
-        yield from enumerate_graphs(g - 1, (a, b) + rest).scale(coeff).terms.items()
+        split = (a, b) + rest
+        labels = tuple(range(1, n + 2))
+        for word, c in _enumerated(g - 1, split, memo):
+            yield (split, labels, word), c * coeff
         for size in range(len(rest_indices) + 1):
             for subset in combinations(rest_indices, size):
                 comp = tuple(i for i in rest_indices if i not in subset)
-                mu_i = tuple(mu[i - 1] for i in subset)
-                mu_j = tuple(mu[i - 1] for i in comp)
+                mu_i = (a,) + tuple(mu[i - 1] for i in subset)
+                mu_j = (b,) + tuple(mu[i - 1] for i in comp)
+                labels_i = (1,) + tuple(i + 1 for i in subset)
+                labels_j = (2,) + tuple(i + 1 for i in comp)
                 for g1 in range(0, g + 1):
-                    g2 = g - g1
-                    left = enumerate_graphs(g1, (a,) + mu_i)
-                    if left.is_zero():
+                    left = _enumerated(g1, mu_i, memo)
+                    if not left:
                         continue
-                    right = enumerate_graphs(g2, (b,) + mu_j)
-                    if right.is_zero():
-                        continue
-                    left = relabel(left, {1} | {i + 1 for i in subset})
-                    right = relabel(right, {2} | {i + 1 for i in comp})
-                    yield from (left * right).scale(coeff).terms.items()
+                    right = _enumerated(g - g1, mu_j, memo)
+                    for w1, c1 in left:
+                        for w2, c2 in right:
+                            yield (_union((mu_i, labels_i, w1), (mu_j, labels_j, w2)),
+                                   c1 * c2 * coeff)
 
     if mu[0] - 2 > 0:
-        tail = enumerate_graphs(g, (mu[0] - 2,) + rest)
+        tail = (mu[0] - 2,) + rest
         c = mu[0] - 2
-        lab_all = set(range(1, n + 2))
         for v in (1, 2):
-            dot = dot_graph(v)
-            for gr, k in relabel(tail, lab_all - {v}).terms.items():
-                yield graph_union(dot, gr), k * c
+            dot = _key(dot_graph(v))
+            labels = tuple(lab for lab in range(1, n + 2) if lab != v)
+            for word, k in _enumerated(g, tail, memo):
+                yield _union(dot, (tail, labels, word)), k * c
 
 
 def verify_abstract_recursion(g: int, mu) -> RecursionReport:
-    """Check K1(F_g^mu) against the recursion's right-hand side, exactly."""
+    """Check K1(F_g^mu) against the recursion's right-hand side, exactly.
+
+    Both sides are {class: coeff}; graphs are built only for mismatches,
+    which are listed in the order of their canonical encodings.
+    """
     mu = tuple(int(m) for m in mu)
-    lhs = contract_K1(enumerate_graphs(g, mu))
-    rhs = recursion_rhs(g, mu)
+    lhs = _added(_contraction_terms(enumerate_graphs(g, mu)))
+    rhs = _added(_rhs_terms(g, mu, {}))
     mismatches = []
-    for gr in sorted(set(lhs.terms) | set(rhs.terms), key=lambda x: x.canonical()):
-        a = lhs.terms.get(gr, Fraction(0))
-        b = rhs.terms.get(gr, Fraction(0))
-        if a != b:
-            mismatches.append((gr.to_text(), a, b))
-    return RecursionReport(g=g, mu=mu, equal=not mismatches, mismatches=mismatches,
-                           lhs_terms=len(lhs.terms), rhs_terms=len(rhs.terms))
+    if lhs != rhs:
+        zero = Fraction(0)
+        for key in lhs.keys() | rhs.keys():
+            a, b = lhs.get(key, zero), rhs.get(key, zero)
+            if a != b:
+                mismatches.append((_graph(key), a, b))
+        mismatches.sort(key=lambda m: m[0].canonical())
+    return RecursionReport(g=g, mu=mu, equal=not mismatches,
+                           mismatches=[(gr.to_text(), a, b)
+                                       for gr, a, b in mismatches],
+                           lhs_terms=len(lhs), rhs_terms=len(rhs))

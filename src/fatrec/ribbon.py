@@ -74,20 +74,25 @@ class FatGraph:
 
     @classmethod
     def _make(cls, mu: tuple[int, ...], alpha: tuple[int, ...],
-              labels: tuple[int, ...]) -> "FatGraph":
-        """Trusted constructor: tuples of ints that the constructor would accept."""
+              labels: tuple[int, ...], canon: tuple[int, ...] | None = None
+              ) -> "FatGraph":
+        """Trusted constructor: tuples of ints that the constructor would accept.
+
+        ``canon``, when the caller knows it, is the least rotation of alpha
+        (what ``canonical_word`` would compute).
+        """
         self = object.__new__(cls)
-        self._fill(mu, alpha, labels)
+        self._fill(mu, alpha, labels, canon)
         return self
 
-    def _fill(self, mu, alpha, labels):
+    def _fill(self, mu, alpha, labels, canon=None):
         blocks = []
         owner = [0]
         for i, m in enumerate(mu):
             blocks.append(tuple(range(len(owner), len(owner) + m)))
             owner += [i] * m
         for name, value in (("mu", mu), ("labels", labels), ("alpha", alpha),
-                            ("_blocks", tuple(blocks)), ("_canon", None),
+                            ("_blocks", tuple(blocks)), ("_canon", canon),
                             ("_owner", tuple(owner))):
             object.__setattr__(self, name, value)
 
@@ -311,7 +316,10 @@ def dot_graph(label: int = 1) -> FatGraph:
     return FatGraph((0,), (), (label,))
 
 
-@lru_cache(maxsize=16)
+# One check of the recursion canonicalises the words of up to 24 valence
+# vectors (|mu| <= 12, at most three parts), so a bound of 64 keeps every
+# vector of a check and of the checks around it.
+@lru_cache(maxsize=64)
 def _rotation_perms(mu: tuple[int, ...]) -> tuple:
     """(p, p^-1) for every rotation but the identity, as tuples on 0..H.
 

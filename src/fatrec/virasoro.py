@@ -111,12 +111,20 @@ class SuiteReport:
         return out
 
 
+def _require_checks(checked: int, suite: str) -> None:
+    """Refuse bounds at which ``suite`` checks nothing, so it cannot pass vacuously."""
+    if not checked:
+        raise ValueError(f"suite {suite} has nothing to check at these bounds")
+
+
 def verify_virasoro(m_max: int, max_weight: int,
                     cache: CorrelatorCache | None = None) -> SuiteReport:
     """Assert that every reliable component of L_m Z vanishes, -1 <= m <= m_max."""
     from .correlators import partition_function
     if m_max < -1:
         raise ValueError("m_max must be >= -1")
+    _require_checks(sum(reliable_weight(max_weight, m) >= 0
+                        for m in range(-1, m_max + 1)), "virasoro")
     z = partition_function(max_weight, cache)
     violations = []
     checks = []

@@ -270,6 +270,25 @@ def test_cache_cell_of_another_value_is_an_error(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
 
+def test_concurrent_processes_all_save_their_cells(tmp_path):
+    # Five processes that finish together on one cache file: each waits for
+    # the lock, so none drops its cell or warns.
+    path = str(tmp_path / "c.json")
+    sizes = (10, 12, 14, 16, 18)  # more processes than cores
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "fatrec.cli", "correlator", "--g", "0",
+         "--mu", str(m), "--cache-path", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        cwd=tmp_path, env=cli_env()) for m in sizes]
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, "")
+    cache = CorrelatorCache(path)
+    cache.load()
+    assert {(0, (m,)) for m in sizes} <= set(cache.table)
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
+
 # bounds that leave a suite nothing to check
 @pytest.mark.parametrize("args", [
     ["--suite", "oracle", "--max-weight", "-2"],
@@ -277,6 +296,10 @@ def test_cache_cell_of_another_value_is_an_error(tmp_path, capsys, monkeypatch):
     ["--suite", "commutators", "--m-max", "-2"],
     ["--suite", "heisenberg", "--m-max", "-1"],
     ["--suite", "cutjoin", "--max-weight", "-1"],
+    ["--suite", "abstract-rec", "--max-weight", "-2"],
+    ["--suite", "abstract-rec", "--max-parts", "0"],
+    ["--suite", "virasoro", "--max-weight", "0"],
+    ["--suite", "npoint", "--max-order", "1"],
 ])
 def test_vacuous_suite_one_line_exit_2(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -213,7 +214,8 @@ def test_cache_lock_left_empty_is_broken(tmp_path):
     assert loaded.table == cache.table
 
 
-def test_cache_lock_of_another_live_process_holds(tmp_path):
+def test_cache_lock_of_another_live_process_holds(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_LOCK_WAIT_S", 0.02)  # the holder never lets go
     child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
     try:
         path = tmp_path / "c.json"
@@ -230,7 +232,8 @@ def test_cache_lock_of_another_live_process_holds(tmp_path):
         child.wait(timeout=10)
 
 
-def test_cache_lock_of_a_live_process_holds(tmp_path):
+def test_cache_lock_of_a_live_process_holds(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_LOCK_WAIT_S", 0.02)  # the holder never lets go
     path = tmp_path / "c.json"
     lock = tmp_path / "c.json.lock"
     lock.write_text(str(os.getpid()))
@@ -240,6 +243,27 @@ def test_cache_lock_of_a_live_process_holds(tmp_path):
         cache.save()
     assert lock.read_text() == str(os.getpid())
     assert not path.exists()
+
+
+def test_cache_save_waits_for_a_live_holder(tmp_path):
+    # A live holder that lets go within the wait: the save lands, and the
+    # holder's lock is not broken meanwhile.
+    path = tmp_path / "c.json"
+    lock = tmp_path / "c.json.lock"
+    lock.write_text(str(os.getpid()))
+    cache = CorrelatorCache(str(path))
+    correlator(0, (4, 2), cache)
+    release = threading.Timer(0.05, lock.unlink)
+    release.start()
+    try:
+        cache.save()
+    finally:
+        release.join(timeout=10)
+    assert not release.is_alive()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    loaded = CorrelatorCache(str(path))
+    loaded.load()
+    assert loaded.table == cache.table
 
 
 def test_cache_lock_of_a_dead_process_is_broken(tmp_path, monkeypatch):
@@ -646,7 +670,9 @@ def test_partition_generators_match_references(monkeypatch):
             assert list(core._partitions(total, parts)) == walk
             assert list(core._partitions(total, parts, exact=True)) == [
                 mu for mu in walk if len(mu) == parts]
-    for parts in range(14):
+    with pytest.raises(ValueError, match="nothing to check"):
+        _abstract_suite_inputs(monkeypatch, 12, 0)
+    for parts in range(1, 14):
         assert _abstract_suite_inputs(monkeypatch, 12, parts) == [
             (g, mu) for total in range(2, 13, 2)
             for mu in _compositions_reference(total, parts)

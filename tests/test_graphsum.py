@@ -6,18 +6,19 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, combinations, permutations, product
 from math import prod
 
 import pytest
 
-from fatrec import graphsum
+from fatrec import graphsum, ribbon
 from fatrec.cli import main
+from fatrec.correlators import max_feasible_genus
 from fatrec.exact import TPoly
-from fatrec.graphsum import (GraphSum, _contract_at, contract_K1,
-                             enumerate_graphs, graph_union, oracle_correlator,
-                             oracle_correlators_all_genus,
-                             relabel, verify_abstract_recursion)
+from fatrec.graphsum import (GraphSum, contract_K1, enumerate_graphs,
+                             graph_union, oracle_correlator,
+                             oracle_correlators_all_genus, relabel,
+                             relabel_graph, verify_abstract_recursion)
 from fatrec.ribbon import (FatGraph, _least_rotation, _rotation_perms, dot_graph,
                            involutions, loop_graph)
 
@@ -605,6 +606,13 @@ def _small_mu():
         yield from _walk_cases(total)
 
 
+def _contract_at(gr, h):
+    """The contraction at h as ``graphsum._contracted`` renumbers it,
+    through the validating constructor."""
+    mu, word = graphsum._contracted(gr._blocks, gr._owner, (0,) + gr.alpha, h)
+    return FatGraph(mu, word[1:], range(1, len(mu) + 1))
+
+
 def test_contraction_matches_sigma_walk_reference():
     for mu in _small_mu():
         for alpha in involutions(sum(mu)):
@@ -655,6 +663,223 @@ def test_recursion_builds_no_graph_through_the_constructors(monkeypatch):
     monkeypatch.setattr(GraphSum, "__init__", spy(sum_init))
     assert verify_abstract_recursion(1, (10,)).equal
     assert set(callers) == {("FatGraph.__init__", "dot_graph")}
+
+
+# ---------------------------------------------------------------------------
+# The recursion on class words against the graph-by-graph path it replaced
+# ---------------------------------------------------------------------------
+
+def _fresh(gr):
+    """gr through the validating constructor, its word computed anew."""
+    return FatGraph(gr.mu, gr.alpha, gr.labels)
+
+
+def _contract_K1_reference(s):
+    """K1 graph by graph: every contraction through the validating
+    constructor and canonicalised anew, equal graphs added."""
+    terms = {}
+    for gr, c in s.terms.items():
+        for h in gr.block(0):
+            key = _contract_at(gr, h)
+            terms[key] = terms.get(key, 0) + c
+    return GraphSum(terms)
+
+
+def _union_reference(g1, g2):
+    """Disjoint union through the validating constructor, vertices sorted
+    by label."""
+    shift = g1.n_half_edges
+    blocks = [(lab, list(g1.block(i))) for i, lab in enumerate(g1.labels)]
+    blocks += [(lab, [h + shift for h in g2.block(i)])
+               for i, lab in enumerate(g2.labels)]
+    alpha_map = {h: g1.alpha_of(h) for h in range(1, shift + 1)}
+    alpha_map.update({h + shift: g2.alpha_of(h) + shift
+                      for h in range(1, g2.n_half_edges + 1)})
+    return _rebuild_reference(sorted(blocks), alpha_map)
+
+
+def _relabel_reference(gr, new_labels):
+    """Order-preserving relabel through the validating constructor."""
+    mapping = dict(zip(sorted(gr.labels), sorted(new_labels)))
+    blocks = sorted((mapping[lab], list(gr.block(i)))
+                    for i, lab in enumerate(gr.labels))
+    return _rebuild_reference(blocks, {h: gr.alpha_of(h)
+                                       for h in range(1, gr.n_half_edges + 1)})
+
+
+def _recursion_rhs_reference(g, mu):
+    """The right-hand side as graph sums, each term's graph validated and
+    canonicalised anew, equal graphs added; only the enumeration is
+    graphsum's."""
+    def union(s1, s2):
+        return [(_union_reference(g1, g2), c1 * c2)
+                for g1, c1 in s1 for g2, c2 in s2]
+
+    def relabelled(s, labels):
+        return [(_relabel_reference(gr, labels), c) for gr, c in s.terms.items()]
+
+    @lru_cache(maxsize=None)  # for this call only
+    def enumerate_graphs(g, mu):
+        return graphsum.enumerate_graphs(g, mu)
+
+    n = len(mu)
+    rest = mu[1:]
+    terms = []
+    if g == 0 and n == 1 and mu[0] == 2:
+        terms += union([(dot_graph(1), 1)], [(dot_graph(2), 1)])
+    for j in range(2, n + 1):
+        m0 = mu[0] + mu[j - 1] - 2
+        new_mu = (m0,) + tuple(mu[i - 1] for i in range(2, n + 1) if i != j)
+        if m0 > 0:
+            terms += enumerate_graphs(g, new_mu).scale(m0).terms.items()
+        elif m0 == 0 and n == 2 and g == 0:
+            terms.append((dot_graph(1), 1))
+    rest_indices = list(range(2, n + 1))
+    for a in range(1, mu[0] - 2):
+        b = mu[0] - 2 - a
+        coeff = a * b
+        terms += enumerate_graphs(g - 1, (a, b) + rest).scale(coeff).terms.items()
+        for size in range(len(rest_indices) + 1):
+            for subset in combinations(rest_indices, size):
+                comp = tuple(i for i in rest_indices if i not in subset)
+                mu_i = tuple(mu[i - 1] for i in subset)
+                mu_j = tuple(mu[i - 1] for i in comp)
+                for g1 in range(0, g + 1):
+                    left = relabelled(enumerate_graphs(g1, (a,) + mu_i),
+                                      {1} | {i + 1 for i in subset})
+                    right = relabelled(enumerate_graphs(g - g1, (b,) + mu_j),
+                                       {2} | {i + 1 for i in comp})
+                    terms += [(gr, c * coeff) for gr, c in union(left, right)]
+    if mu[0] - 2 > 0:
+        tail = enumerate_graphs(g, (mu[0] - 2,) + rest)
+        for v in (1, 2):
+            terms += [(gr, c * (mu[0] - 2)) for gr, c in union(
+                [(dot_graph(v), 1)], relabelled(tail, set(range(1, n + 2)) - {v}))]
+    out = {}
+    for gr, c in terms:
+        gr = _fresh(gr)
+        out[gr] = out.get(gr, 0) + c
+    return GraphSum(out)
+
+
+def _recursion_cases(total):
+    """Every (g, mu) the abstract-rec suite would check at |mu| = total,
+    at most three parts."""
+    for k in range(3):
+        for cuts in combinations(range(1, total), k):
+            mu = tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+            for g in range(max_feasible_genus(mu) + 1):
+                yield g, mu
+
+
+@pytest.fixture
+def words_checked(monkeypatch):
+    """Check every word given to FatGraph._make against a from-scratch
+    least rotation; the fixture's list counts them."""
+    make = FatGraph._make.__func__
+    checked = []
+    perms = {}  # built here, not read from the module's cache
+
+    def checking(cls, mu, alpha, labels, canon=None):
+        if canon is not None:
+            if mu not in perms:
+                perms[mu] = _rotation_perms.__wrapped__(mu)
+            least, _ = _least_rotation((0,) + alpha, perms[mu])
+            assert canon == tuple(least[1:])
+            checked.append(mu)
+        return make(cls, mu, alpha, labels, canon)
+
+    monkeypatch.setattr(FatGraph, "_make", classmethod(checking))
+    return checked
+
+
+@pytest.mark.parametrize("total", range(1, 11))
+def test_recursion_on_words_matches_the_graph_path(total, words_checked):
+    for g, mu in _recursion_cases(total):
+        s = enumerate_graphs(g, mu)
+        lhs = contract_K1(s)
+        assert lhs.terms == _contract_K1_reference(s).terms, (g, mu)
+        rhs = graphsum.recursion_rhs(g, mu)
+        assert rhs.terms == _recursion_rhs_reference(g, mu).terms, (g, mu)
+        # every graph is born with its word as alpha
+        assert all(gr._canon == gr.alpha for gr in chain(s.terms, lhs.terms, rhs.terms))
+    assert words_checked or total % 2
+
+
+def test_unions_and_relabels_match_the_references(words_checked):
+    graphs = [gr for mu in [(4, 2), (3, 3), (2, 1, 1), (6,)] for g in range(2)
+              for gr in enumerate_graphs(g, mu).terms]
+    graphs += [FatGraph((4,), (4, 3, 2, 1)),  # alpha not its least rotation
+               FatGraph((1, 3), (2, 1, 4, 3), (2, 1)),  # labels not sorted
+               FatGraph((2, 4), (2, 1, 5, 6, 3, 4), (5, 2)), dot_graph(7)]
+    for gr in graphs:
+        assert gr == _fresh(gr)  # its word is known from here on
+        n = gr.n_vertices
+        shifted = relabel_graph(gr, range(9, 9 + n))
+        assert shifted.to_text() == _relabel_reference(gr, range(9, 9 + n)).to_text()
+        assert shifted == _relabel_reference(gr, range(9, 9 + n))
+        for other in (shifted, dot_graph(8), FatGraph((1, 1), (2, 1), (6, 8))):
+            union = graph_union(gr, other)
+            assert union.to_text() == _union_reference(gr, other).to_text()
+            assert union == _union_reference(gr, other)
+    assert len(words_checked) > 20
+
+
+def test_one_check_builds_each_rotation_table_once():
+    # about two dozen valence vectors, more than the old bound of 16
+    _rotation_perms.cache_clear()
+    assert verify_abstract_recursion(0, (9, 1, 2)).equal
+    info = _rotation_perms.cache_info()
+    assert info.maxsize is not None
+    assert 16 < info.misses == info.currsize <= info.maxsize
+
+
+def test_graphs_born_with_their_word_are_not_canonicalised_again(monkeypatch):
+    def no_rotation_tried(word, perms, *args):
+        assert not perms, "a graph's word was computed again"
+        return word, 1
+
+    monkeypatch.setattr(ribbon, "_least_rotation", no_rotation_tried)
+    for g, mu in [(1, (6, 2)), (0, (4, 1, 1)), (0, (2,))]:
+        s = enumerate_graphs(g, mu)
+        shifted = relabel(s, range(7, 7 + len(mu)))
+        for derived in (contract_K1(s), graphsum.recursion_rhs(g, mu), s * shifted):
+            assert all(gr._canon == gr.alpha for gr in derived.terms)
+
+
+def _mismatches_reference(g, mu):
+    """The mismatches as verify_abstract_recursion listed them from graph
+    sums: every graph of either side sorted by its canonical encoding."""
+    lhs = _contract_K1_reference(enumerate_graphs(g, mu))
+    rhs = graphsum.recursion_rhs(g, mu)
+    out = []
+    for gr in sorted(set(lhs.terms) | set(rhs.terms), key=lambda x: x.canonical()):
+        a = lhs.terms.get(gr, Fraction(0))
+        b = rhs.terms.get(gr, Fraction(0))
+        if a != b:
+            out.append((gr.canonical(), a, b))
+    return out, len(lhs.terms), len(rhs.terms)
+
+
+def test_mismatches_keep_their_order_on_a_wrong_rhs(monkeypatch):
+    terms = graphsum._rhs_terms
+
+    def wrong(g, mu, memo):
+        # drop a third of the terms and scale the others by 1, 2 or 3
+        for i, (key, c) in enumerate(terms(g, mu, memo)):
+            if i % 3:
+                yield key, c * (i % 4 or 3)
+
+    monkeypatch.setattr(graphsum, "_rhs_terms", wrong)
+    for g, mu in [(0, (6, 2)), (1, (8,)), (0, (4, 1, 1)), (1, (5, 3)), (0, (2,))]:
+        report = verify_abstract_recursion(g, mu)
+        got = [(FatGraph.from_text(t).canonical(), a, b)
+               for t, a, b in report.mismatches]
+        expected, lhs_terms, rhs_terms = _mismatches_reference(g, mu)
+        assert expected, (g, mu)
+        assert got == expected, (g, mu)
+        assert report.equal == (not expected)
+        assert (report.lhs_terms, report.rhs_terms) == (lhs_terms, rhs_terms)
 
 
 @pytest.mark.parametrize("argv, digest", [
