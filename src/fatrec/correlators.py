@@ -189,24 +189,28 @@ def _acquire(lock: str) -> None:
     ``lock``: the link fails if the lock exists, and a lock never exists
     without its PID.  A lock that is empty or whose PID no longer exists was
     left by a killed run: it is unlinked and the link is tried again at
-    once, as it is when the lock was released meanwhile.  A lock of a live
-    process is polled for up to _LOCK_WAIT_S, then raises CacheError.
+    once, as it is when the lock was released meanwhile.  Otherwise the
+    lock is polled, and whatever it holds, CacheError is raised once
+    _LOCK_WAIT_S has passed.
     """
     own = f"{lock}.{os.getpid()}"
     with open(own, "w", encoding="ascii") as fh:
         fh.write(str(os.getpid()))
     deadline = time.monotonic() + _LOCK_WAIT_S
+    retry_now = False
     try:
         while True:
             try:
                 os.link(own, lock)
                 return
             except FileExistsError:
-                if _break_if_stale(lock):
-                    continue
+                # at once after a break, but not twice in a row: a lock
+                # that never opens (a dangling symlink) reads as gone
+                retry_now = _break_if_stale(lock) and not retry_now
             if time.monotonic() > deadline:
                 raise CacheError(f"cache is locked: {lock}")
-            time.sleep(_LOCK_POLL_S)
+            if not retry_now:
+                time.sleep(_LOCK_POLL_S)
     finally:
         os.unlink(own)
 

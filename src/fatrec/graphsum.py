@@ -40,10 +40,9 @@ tried (``_union``), each (g, mu) is enumerated once per right-hand side, and
 coefficients are added per key; a graph is built per class only for a
 GraphSum that is returned or a mismatch that is reported.
 ``FatGraph._make`` is given a word only when it is alpha's least rotation,
-and a graph given its word at birth has an alpha that is its own least
-rotation (an enumerated class, a contraction, a union of such graphs, a
-class of the recursion), except that a relabelled graph keeps the alpha
-and the word of its source.
+so a graph given its word at birth has an alpha that is its own least
+rotation (an enumerated class, a contraction, a class of the recursion);
+unions and relabellings of graphs compute their word when first asked.
 """
 
 from __future__ import annotations
@@ -215,20 +214,13 @@ def _union(part1, part2) -> tuple:
                      (0,) + w1 + tuple(x + shift for x in w2))
 
 
-def _is_least(gr: FatGraph) -> bool:
-    """Whether gr's labels are sorted and its alpha is its least rotation."""
-    return (gr.labels == tuple(sorted(gr.labels))
-            and gr.canonical_word() == gr.alpha)
-
-
 def graph_union(g1: FatGraph, g2: FatGraph) -> FatGraph:
     """Disjoint union; vertices re-sorted by label."""
     if set(g1.labels) & set(g2.labels):
         raise ValueError("label sets overlap")
     mu, labels, alpha = _union((g1.mu, g1.labels, g1.alpha),
                                (g2.mu, g2.labels, g2.alpha))
-    least = _is_least(g1) and _is_least(g2)
-    return FatGraph._make(mu, alpha, labels, alpha if least else None)
+    return FatGraph._make(mu, alpha, labels)
 
 
 def relabel_graph(gr: FatGraph, new_labels: set[int] | list[int]) -> FatGraph:
@@ -236,9 +228,6 @@ def relabel_graph(gr: FatGraph, new_labels: set[int] | list[int]) -> FatGraph:
     new = sorted(new_labels)
     if len(new) != gr.n_vertices:
         raise ValueError("label count mismatch")
-    if gr.labels == tuple(sorted(gr.labels)):
-        # The vertices keep their order, so mu, alpha and its least word stay.
-        return FatGraph._make(gr.mu, gr.alpha, tuple(new), gr._canon)
     mapping = dict(zip(sorted(gr.labels), new))
     mu, labels, alpha = _by_label(gr.mu, [mapping[lab] for lab in gr.labels],
                                   (0,) + gr.alpha)

@@ -245,6 +245,26 @@ def test_cache_lock_of_a_live_process_holds(tmp_path, monkeypatch):
     assert not path.exists()
 
 
+def test_cache_lock_that_never_opens_times_out(tmp_path, monkeypatch):
+    # A dangling symlink exists for the link but cannot be opened, so each
+    # pass judges it released; the wait still ends, without spinning.
+    monkeypatch.setattr(core, "_LOCK_WAIT_S", 0.05)
+    path = tmp_path / "c.json"
+    lock = tmp_path / "c.json.lock"
+    lock.symlink_to(tmp_path / "nowhere")
+    judged = []
+    judge = core._break_if_stale
+    monkeypatch.setattr(core, "_break_if_stale",
+                        lambda name: judged.append(name) or judge(name))
+    cache = CorrelatorCache(str(path))
+    correlator(0, (4,), cache)
+    with pytest.raises(CacheError, match="cache is locked"):
+        cache.save()
+    assert lock.is_symlink() and not path.exists()
+    # about two passes per poll of 5 ms, not thousands
+    assert 2 <= len(judged) <= 2 * 0.05 / core._LOCK_POLL_S + 4
+
+
 def test_cache_save_waits_for_a_live_holder(tmp_path):
     # A live holder that lets go within the wait: the save lands, and the
     # holder's lock is not broken meanwhile.

@@ -822,7 +822,6 @@ def test_unions_and_relabels_match_the_references(words_checked):
             union = graph_union(gr, other)
             assert union.to_text() == _union_reference(gr, other).to_text()
             assert union == _union_reference(gr, other)
-    assert len(words_checked) > 20
 
 
 def test_one_check_builds_each_rotation_table_once():
@@ -842,8 +841,7 @@ def test_graphs_born_with_their_word_are_not_canonicalised_again(monkeypatch):
     monkeypatch.setattr(ribbon, "_least_rotation", no_rotation_tried)
     for g, mu in [(1, (6, 2)), (0, (4, 1, 1)), (0, (2,))]:
         s = enumerate_graphs(g, mu)
-        shifted = relabel(s, range(7, 7 + len(mu)))
-        for derived in (contract_K1(s), graphsum.recursion_rhs(g, mu), s * shifted):
+        for derived in (contract_K1(s), graphsum.recursion_rhs(g, mu)):
             assert all(gr._canon == gr.alpha for gr in derived.terms)
 
 
@@ -880,6 +878,13 @@ def test_mismatches_keep_their_order_on_a_wrong_rhs(monkeypatch):
         assert got == expected, (g, mu)
         assert report.equal == (not expected)
         assert (report.lhs_terms, report.rhs_terms) == (lhs_terms, rhs_terms)
+        # each mismatch is printed with its class's least alpha
+        for text, _, _ in report.mismatches:
+            gr = FatGraph.from_text(text)
+            assert gr.alpha == gr.canonical_word(), text
+        if (g, mu) == (1, (8,)):
+            assert report.mismatches[0] == (
+                "n=2; mu=0,6; alpha=(1 2)(3 5)(4 6)", Fraction(6), Fraction(12))
 
 
 @pytest.mark.parametrize("argv, digest", [
