@@ -21,11 +21,22 @@ keeps each face change, so a third table keyed by that cycle type gives
 their histogram.  The tables are filled on first use and kept for the
 process, since there are at most 746, 220 and 40 keys and refilling them
 would cost more than a small walk.
-``enumerate_graphs`` makes one canonical test per pairing of the wanted
-genus: since a class's first word met is its least, a pairing is kept only
-when no rotation gives a smaller word, and its weight 1/|Aut| comes from the
-rotations that give the same word.  Nothing here uses the correlator
-recursion, so the oracle stays an independent check of it.
+``enumerate_graphs`` keeps a pairing of the wanted genus only when no
+rotation gives a smaller word, since a class's first word met is its least,
+and its weight 1/|Aut| comes from the rotations that give the same word.
+The walk cuts a branch as soon as its prefix cannot be canonical (orderly
+generation: R. C. Read, Ann. Discrete Math. 2, 1978; B. D. McKay, J.
+Algorithms 26, 1998).  After each edge every position below the next free
+half-edge is assigned, and an assigned position keeps its value in the whole
+subtree, so each rotation still in play is compared with the partial word
+up to the first position where either is unassigned: one already smaller
+cuts the branch, one already larger is dropped for the subtree, and only
+those still tied reach the canonical test at a leaf.  A dropped rotation
+gives a larger word in every completion, so it can neither beat a word nor
+tie with it: every canonical word is still kept, with the same |Aut|, in
+the same order.  The oracle counts pairings, not classes, and cuts nothing
+by rotation.  Nothing here uses the correlator recursion, so the oracle
+stays an independent check of it.
 
 Every graph and sum derived here comes from valid parts, so it is built on
 one trusted path: graphs by ``FatGraph._make`` (``_renumbered`` renumbers
@@ -228,6 +239,8 @@ def relabel_graph(gr: FatGraph, new_labels: set[int] | list[int]) -> FatGraph:
     new = sorted(new_labels)
     if len(new) != gr.n_vertices:
         raise ValueError("label count mismatch")
+    if len(set(new)) != len(new):
+        raise ValueError("labels must be distinct")
     mapping = dict(zip(sorted(gr.labels), new))
     mu, labels, alpha = _by_label(gr.mu, [mapping[lab] for lab in gr.labels],
                                   (0,) + gr.alpha)
@@ -261,7 +274,13 @@ class _Walk:
     and merges two faces otherwise, so the face count starts at n (one per
     vertex) and moves by one per edge.  ``comp[v]`` is the vertex bitmask
     of the component of v.  With a ``target`` face count, branches that
-    cannot reach it are cut.
+    cannot reach it are cut, and so are those whose prefix cannot be
+    canonical: the walk carries the rotations still tied with the partial
+    word (``_tied``), cuts a branch at the first rotation already smaller
+    and drops one already larger for the subtree.  Since the positions below
+    the next free half-edge stay assigned, a dropped rotation is larger in
+    every completion, so the leaf test over the tied ones keeps the same
+    words with the same |Aut|.
 
     The last three edges (all of them when mu has at most six half-edges)
     are not walked: ``_tail`` reads their 15 pairings, in the same order,
@@ -273,8 +292,7 @@ class _Walk:
     given a target, the canonical words of that face count to |Aut|.
     """
 
-    __slots__ = ("alpha", "phi", "owner", "comp", "full", "target", "perms",
-                 "found")
+    __slots__ = ("alpha", "phi", "owner", "comp", "full", "target", "found")
 
     def __init__(self, mu, target=None):
         h = sum(mu)
@@ -290,15 +308,19 @@ class _Walk:
         self.comp = [1 << v for v in range(len(mu))]
         self.full = (1 << len(mu)) - 1
         self.target = target
-        self.perms = None if target is None else _rotation_perms(mu)
         self.found = {}
+        live = None if target is None else _rotation_perms(mu)
         if h > 6:
-            self._glue(1, h // 2 - 1, len(mu))
+            self._glue(1, h // 2 - 1, len(mu), live)
         else:
-            self._tail(1, len(mu))
+            self._tail(1, len(mu), live)
 
-    def _glue(self, a, left, faces):
-        """Glue half-edge a to each larger free one; ``left`` edges follow."""
+    def _glue(self, a, left, faces, live):
+        """Glue half-edge a to each larger free one; ``left`` edges follow.
+
+        ``live`` holds the rotations still tied with the partial word, or
+        None without a target.
+        """
         alpha, phi, comp, owner = self.alpha, self.phi, self.comp, self.owner
         target = self.target
         cu = comp[owner[a]]
@@ -314,27 +336,57 @@ class _Walk:
             f = faces + 1 if x == b else faces - 1
             if target is not None and abs(f - target) > left:
                 continue
-            cw = comp[owner[b]]
             alpha[a], alpha[b] = b, a
+            nxt = a + 1
+            while alpha[nxt]:
+                nxt += 1
+            tied = live
+            if target is not None:
+                tied = self._tied(live, nxt)
+                if tied is None:
+                    alpha[a] = alpha[b] = 0
+                    continue
+            cw = comp[owner[b]]
             phi[a], phi[b] = phi[b], phi[a]
             if not cu & cw:
                 merged = cu | cw
                 for v, mask in enumerate(comp):
                     if mask == cu or mask == cw:
                         comp[v] = merged
-            nxt = a + 1
-            while alpha[nxt]:
-                nxt += 1
             if left == 3:
-                self._tail(nxt, f)
+                self._tail(nxt, f, tied)
             else:
-                self._glue(nxt, left - 1, f)
+                self._glue(nxt, left - 1, f, tied)
             if not cu & cw:
                 for v, mask in enumerate(comp):
                     if mask == merged:
                         comp[v] = cu if cu >> v & 1 else cw
             phi[a], phi[b] = phi[b], phi[a]
             alpha[a] = alpha[b] = 0
+
+    def _tied(self, live, nxt):
+        """The rotations of ``live`` whose word still ties with alpha, which
+        is assigned below ``nxt``, or None if one is already smaller.
+
+        Each rotated word is compared with alpha position by position up to
+        the first position where either is unassigned (the rotated word is
+        0 there): a rotation is kept while the two agree that far, and
+        dropped at the first assigned position where its word is larger.
+        """
+        alpha = self.alpha
+        out = []
+        for p, q in live:
+            for x in range(1, nxt):
+                v = p[alpha[q[x]]]
+                if v != alpha[x]:
+                    if not v:
+                        out.append((p, q))
+                    elif v < alpha[x]:
+                        return None
+                    break
+            else:
+                out.append((p, q))
+        return out
 
     def _count_by_cycle_type(self, a, faces):
         """Count the completions of a connected map, a the smallest of its
@@ -367,7 +419,7 @@ class _Walk:
         for d, k in histogram:
             found[faces + d] = found.get(faces + d, 0) + k
 
-    def _tail(self, a, faces):
+    def _tail(self, a, faces, live):
         """Count the pairings of the free half-edges, a the smallest of them.
 
         rho, the first return of phi to the free half-edges, gives the face
@@ -414,13 +466,14 @@ class _Walk:
             if d == want and ok:
                 for i, j in pairing:
                     alpha[free[i]], alpha[free[j]] = free[j], free[i]
-                self._leaf()
+                self._leaf(live)
         for x in free:
             alpha[x] = 0
 
-    def _leaf(self):
-        """Keep the connected pairing in ``alpha`` if its word is canonical."""
-        least = _least_rotation(self.alpha, self.perms, stop_if_smaller=True)
+    def _leaf(self, live):
+        """Keep the connected pairing in ``alpha`` if its word is canonical:
+        if no rotation of ``live`` gives a smaller word."""
+        least = _least_rotation(self.alpha, live, stop_if_smaller=True)
         if least is not None:
             self.found[tuple(self.alpha[1:])] = least[1]
 
@@ -522,7 +575,8 @@ def enumerate_graphs(g: int, mu) -> GraphSum:
     The walk meets the words of a class in lexicographic order, so a
     connected genus-g pairing is kept only when no rotation gives a smaller
     word: it is then the class's canonical word, and the rotations that fix
-    it number |Aut|.  Each graph is born with that word as its alpha.
+    it number |Aut|.  Branches whose prefix a rotation already beats are
+    not walked.  Each graph is born with that word as its alpha.
     """
     mu = _valences(mu)
     if mu == (0,):
